@@ -3,17 +3,17 @@ package main
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/ignorecomply/consensus/scenario"
 )
 
 // batchBench runs generated suite documents through scenario.RunChecked,
-// the call consensus-sim makes for a scenario, from a closed loop of
-// clients. Each document runs on one suite worker, so clients × 1 suite
-// workers stay within the machine's cores.
+// the call consensus-sim makes for a scenario, one after another on one
+// suite worker: a single closed-loop client. One engine run at a time
+// keeps the process's memory peak a function of the documents (two
+// concurrent clients made it swing by a third with which runs overlapped)
+// and leaves the other core to the garbage collector.
 type batchBench struct {
 	families []family
 	docs     []doc
@@ -99,35 +99,19 @@ func runDoc(ctx context.Context, s *scenario.Scenario, d doc, tr *tracer) (time.
 
 func (b *batchBench) pass(ctx context.Context, tr *tracer) *passStats {
 	n := len(b.docs)
-	st := &passStats{clients: suiteClients(), attempted: n}
-	lat := make([]time.Duration, n)
+	st := &passStats{clients: 1, attempted: n}
+	lat := make([]timing, n)
 	viol := make([]int, n)
 	errs := make([]error, n)
 	facts := make([][]runFacts, n)
 	got := make([]bool, n)
-	finished := make([]time.Time, st.clients)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < st.clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					finished[c] = time.Now()
-					return
-				}
-				lat[i], viol[i], errs[i] = runDoc(ctx, b.specs[i], b.docs[i], tr)
-				facts[i], got[i] = takeFacts(b.docs[i].name)
-			}
-		}(c)
+	st.start = time.Now()
+	for i := range b.docs {
+		lat[i].start = time.Now()
+		lat[i].lat, viol[i], errs[i] = runDoc(ctx, b.specs[i], b.docs[i], tr)
+		facts[i], got[i] = takeFacts(b.docs[i].name)
 	}
-	wg.Wait()
-	end := time.Now()
-	st.wall = end.Sub(start)
-	traceIdle(tr, finished, end)
+	st.wall = time.Since(st.start)
 
 	for i, d := range b.docs {
 		err := errs[i]

@@ -115,28 +115,28 @@ var ffCells = func() []cell {
 var paperFamilies = []family{
 	{
 		name:  "sep-3m",
-		cells: []cell{{n: 1 << 12, replicas: 43}, {n: 1 << 13, replicas: 21}, {n: 1 << 14, replicas: 10}, {n: 1 << 15, replicas: 5}, {n: 1 << 16, replicas: 2}},
+		cells: []cell{{n: 1 << 12, replicas: 22}, {n: 1 << 13, replicas: 11}, {n: 1 << 14, replicas: 5}, {n: 1 << 15, replicas: 3}, {n: 1 << 16, replicas: 1}},
 		spec:  singleton(map[string]any{"name": "3-majority"}, sqrtCap(16)),
 	},
 	{
 		name:  "sep-2c",
-		cells: []cell{{n: 1 << 10, replicas: 12}, {n: 1448, replicas: 6}, {n: 1 << 11, replicas: 4}},
+		cells: []cell{{n: 1 << 10, replicas: 6}, {n: 1448, replicas: 3}, {n: 1 << 11, replicas: 2}},
 		// 2-Choices from n colors needs Ω(n/log n) rounds.
 		spec: singleton(map[string]any{"name": "2-choices"}, func(n int) int { return 4 * n }),
 	},
 	{
 		name:  "hier-h3",
-		cells: []cell{{n: 512, replicas: 1}, {n: 768, replicas: 1}},
+		cells: []cell{{n: 512, replicas: 2}},
 		spec:  singleton(map[string]any{"name": "h-majority", "h": 3}, sqrtCap(16)),
 	},
 	{
 		name:  "hier-h4",
-		cells: []cell{{n: 512, replicas: 10}, {n: 1024, replicas: 21}},
+		cells: []cell{{n: 512, replicas: 5}, {n: 1024, replicas: 10}},
 		spec:  singleton(map[string]any{"name": "h-majority", "h": 4}, sqrtCap(16)),
 	},
 	{
 		name:  "hier-h5",
-		cells: []cell{{n: 512, replicas: 55}, {n: 1024, replicas: 64}},
+		cells: []cell{{n: 512, replicas: 27}, {n: 1024, replicas: 32}},
 		spec:  singleton(map[string]any{"name": "h-majority", "h": 5}, sqrtCap(16)),
 	},
 	{name: "ff-hybrid", cells: ffCells, spec: biasedFF("hybrid")},
@@ -147,11 +147,14 @@ var paperFamilies = []family{
 // graph-complete and cluster-zero share one cell, so the three engines'
 // costs compare directly.
 var pernodeFamilies = []family{
-	{name: "agents", cells: []cell{{n: 100000, k: 16, replicas: 1}}, spec: pernodeSpec(map[string]any{"engine": "agents"})},
-	{name: "graph-complete", cells: []cell{{n: 100000, k: 16, replicas: 1}}, spec: pernodeSpec(map[string]any{"topology": map[string]any{"name": "complete"}})},
-	// Degree 8 at n = 2·10^4 fails to sample a simple graph.
-	{name: "graph-regular", cells: []cell{{n: 10000, k: 16, replicas: 2}}, spec: pernodeSpec(map[string]any{"topology": map[string]any{"name": "random-regular", "degree": 4}})},
-	{name: "cluster-zero", cells: []cell{{n: 100000, k: 16, replicas: 1}}, spec: pernodeSpec(map[string]any{"engine": "cluster"})},
+	{name: "agents", cells: []cell{{n: 50000, k: 16, replicas: 1}}, spec: pernodeSpec(map[string]any{"engine": "agents"})},
+	{name: "graph-complete", cells: []cell{{n: 50000, k: 16, replicas: 1}}, spec: pernodeSpec(map[string]any{"topology": map[string]any{"name": "complete"}})},
+	// The random-regular graph is rejection-sampled, a geometric number
+	// of attempts that succeed with probability about exp(-(d²-1)/4): 2.4%
+	// at degree 4, whose set-up swung a seed's wall time by ±6%, and 13.5%
+	// at degree 3. Degree 8 at n = 2·10^4 fails to sample a simple graph.
+	{name: "graph-regular", cells: []cell{{n: 10000, k: 16, replicas: 1}}, spec: pernodeSpec(map[string]any{"topology": map[string]any{"name": "random-regular", "degree": 3}})},
+	{name: "cluster-zero", cells: []cell{{n: 50000, k: 16, replicas: 1}}, spec: pernodeSpec(map[string]any{"engine": "cluster"})},
 	{name: "cluster-net", cells: []cell{{n: 10000, k: 16, replicas: 1}}, spec: pernodeSpec(map[string]any{"network": map[string]any{"delay": 1, "jitter": 2, "loss": 0.05}})},
 }
 
@@ -195,9 +198,10 @@ func suiteDocs(families []family, seed uint64, cycles int) ([]doc, error) {
 }
 
 // warmupDoc is the untimed document run once per set-up: the workload's
-// first family at its first cell with half the nodes, about 0.15 s of
-// work, so setup_s is not lost in scheduling jitter. It runs at a fixed
-// seed, so set-up does the same work whatever the workload seed.
+// first family at its first cell with half the nodes, a few tens of
+// milliseconds of work, so setup_s is not lost in scheduling jitter. It
+// runs at a fixed seed, so set-up does the same work whatever the
+// workload seed.
 func warmupDoc(families []family) (doc, error) {
 	f := families[0]
 	c := f.cells[0]

@@ -26,7 +26,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"time"
 
@@ -60,21 +59,16 @@ type workload struct {
 }
 
 var workloads = map[string]workload{
-	"paper-batch": {1.0, func(ctx context.Context, seed uint64, cycles int) (bench, error) {
+	"paper-batch": {0.8, func(ctx context.Context, seed uint64, cycles int) (bench, error) {
 		return setupBatch(ctx, paperFamilies, seed, cycles)
 	}},
 	"pernode": {1.1, func(ctx context.Context, seed uint64, cycles int) (bench, error) {
 		return setupBatch(ctx, pernodeFamilies, seed, cycles)
 	}},
-	"serve-mixed": {0.2, func(ctx context.Context, seed uint64, cycles int) (bench, error) {
+	"serve-mixed": {0.15, func(ctx context.Context, seed uint64, cycles int) (bench, error) {
 		return setupServe(ctx, seed, cycles)
 	}},
 }
-
-// suiteClients is the number of closed-loop clients (and serve job
-// workers), each running suites on one worker: two, or fewer on a
-// smaller machine, so suite threads never exceed the cores.
-func suiteClients() int { return min(2, runtime.NumCPU()) }
 
 type metricOut struct {
 	Value float64 `json:"value"`
@@ -124,13 +118,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // measure sets the workload up setupReps times and runs the timed pass
 // (its checks follow outside the timed window); with trace it then runs a
-// second, traced pass on a fresh set-up.
+// second, traced pass on a fresh set-up. A speed probe runs throughout;
+// end-to-end times are scaled by it to nominal machine speed.
 func measure(ctx context.Context, name string, w workload, seed uint64, seconds int, trace bool, log io.Writer) (*result, error) {
 	cycles := max(1, int(math.Round(float64(seconds)*w.cyclesPerSecond)))
 	cpu0, err := readCPUTimes()
 	if err != nil {
 		return nil, err
 	}
+	probe := startProbe()
+	defer probe.close()
 	var setups []float64
 	var b bench
 	for i := 0; i < setupReps; i++ {
@@ -148,6 +145,9 @@ func measure(ctx context.Context, name string, w workload, seed uint64, seconds 
 		}
 		setups = append(setups, time.Since(start).Seconds())
 	}
+	// One speed for the whole set-up phase: a single set-up is too short
+	// for the probe to sample well.
+	setupSpeed := probe.speed(processStart, time.Now())
 	p0 := sampleProc()
 	st := b.pass(ctx, nil)
 	p1 := sampleProc()
@@ -155,6 +155,7 @@ func measure(ctx context.Context, name string, w workload, seed uint64, seconds 
 		return nil, err
 	}
 	attempted, failed, errs := st.attempted, st.failed, st.errs
+	speed := probe.speed(st.start, st.start.Add(st.wall))
 
 	var values map[string]float64
 	var defs []metricDef
@@ -163,8 +164,11 @@ func measure(ctx context.Context, name string, w workload, seed uint64, seconds 
 		if err != nil {
 			return nil, err
 		}
-		sort.Float64s(setups)
-		values, defs = endToEndMetrics(st, setups[len(setups)/2], rss), endToEnd
+		setup := median(setups)
+		values, defs = endToEndMetrics(st, probe, setup*setupSpeed, rss), endToEnd
+		miss := latencies(st.miss, nil)
+		fmt.Fprintf(log, "as measured: setup_s %.4g, wall_s %.4g, miss_p50_ms %.4g, miss_p90_ms %.4g; probe speed %.4g over the set-ups, %.4g over the pass\n",
+			setup, st.wall.Seconds(), ms(quantile(miss, 0.5)), ms(quantile(miss, 0.9)), setupSpeed, speed)
 	} else {
 		tb, err := w.setup(ctx, seed, cycles)
 		if err != nil {
@@ -185,7 +189,8 @@ func measure(ctx context.Context, name string, w workload, seed uint64, seconds 
 			values[k] = v
 		}
 		values["host.steal_frac"] = stealFrac(cpu0, cpu1)
-		values["trace.overhead_frac"] = ratio(tst.wall.Seconds(), st.wall.Seconds()) - 1
+		values["host.probe_speed"] = speed
+		values["trace.overhead_frac"] = ratio(probe.scale(tst.start, tst.wall).Seconds(), probe.scale(st.start, st.wall).Seconds()) - 1
 		values["trace.unattributed_frac"] = 1 - ratio(tr.leafTime().Seconds(), float64(tst.clients)*tst.wall.Seconds())
 		if err := writeTrace(tr, name, seed); err != nil {
 			return nil, err
@@ -207,6 +212,12 @@ func measure(ctx context.Context, name string, w workload, seed uint64, seconds 
 		fmt.Fprintf(log, "failure: %v\n", err)
 	}
 	return res, nil
+}
+
+// median of xs (which it sorts).
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	return xs[len(xs)/2]
 }
 
 // writeTrace stores a traced pass's spans under .bench_build/ in the

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/ignorecomply/consensus/scenario"
 )
@@ -298,4 +300,50 @@ func TestBenchmarkJSONMatchesTheMetricTables(t *testing.T) {
 	}
 	compare("end_to_end", b.EndToEnd, endToEnd, true)
 	compare("per_layer", b.PerLayer, perLayer, false)
+}
+
+// TestProbeSpeed checks the probe's estimate on planted samples: busy
+// CPUs outweigh idle ones, short intervals widen to probeWindow, idle
+// intervals fall back to the plain mean, and no samples read as speed 1.
+func TestProbeSpeed(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	p := &speedProbe{samples: []probeSample{
+		{at: t0.Add(10 * time.Millisecond), speed: 0.5, busy: 1},
+		{at: t0.Add(20 * time.Millisecond), speed: 1.0, busy: 0},
+		{at: t0.Add(30 * time.Millisecond), speed: 0.7, busy: 1},
+		{at: t0.Add(2 * time.Second), speed: 2.0, busy: 0},
+		{at: t0.Add(2*time.Second + 10*time.Millisecond), speed: 1.0, busy: 0},
+	}}
+	near := func(got, want float64) bool { return math.Abs(got-want) < 1e-9 }
+	if got := p.speed(t0, t0.Add(time.Second)); !near(got, 0.6) {
+		t.Errorf("busy-weighted speed = %v, want 0.6", got)
+	}
+	if got := p.speed(t0.Add(19*time.Millisecond), t0.Add(21*time.Millisecond)); !near(got, 0.6) {
+		t.Errorf("a 2 ms interval reads %v, want 0.6 from its widened window", got)
+	}
+	if got := p.speed(t0.Add(1900*time.Millisecond), t0.Add(2100*time.Millisecond)); !near(got, 1.5) {
+		t.Errorf("idle interval reads %v, want the plain mean 1.5", got)
+	}
+	if got := p.speed(t0.Add(time.Hour), t0.Add(2*time.Hour)); got != 1 {
+		t.Errorf("interval without samples reads %v, want 1", got)
+	}
+	if got := p.scale(t0, time.Second); (got - 600*time.Millisecond).Abs() > time.Microsecond {
+		t.Errorf("scale = %v, want 600ms", got)
+	}
+}
+
+// TestProbeSamplesEveryCPU runs the probe briefly: every allowed CPU
+// contributes samples with a positive speed, and close returns.
+func TestProbeSamplesEveryCPU(t *testing.T) {
+	p := startProbe()
+	time.Sleep(10 * probeEvery)
+	p.close()
+	if len(p.samples) < len(allowedCPUs()) {
+		t.Fatalf("%d samples from %d CPUs", len(p.samples), len(allowedCPUs()))
+	}
+	for _, s := range p.samples {
+		if !(s.speed > 0) || s.busy < 0 || s.busy > 1 {
+			t.Fatalf("bad sample %+v", s)
+		}
+	}
 }

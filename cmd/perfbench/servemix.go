@@ -29,8 +29,8 @@ import (
 // percentile inside the block of e03/e04 misses (10 of 18), the longest
 // suites (about 0.4 s): a percentile on the edge between two suites of
 // different cost jumps between runs, and a short suite's latency swings
-// with the scheduler's 10 ms time slices and with which miss the other
-// client runs beside it. In sizing this halved the run-to-run spread of
+// with the scheduler's 10 ms time slices and with which miss of the other
+// client it queues behind. In sizing this halved the run-to-run spread of
 // miss_p50_ms against weights that put it among the 0.1 s e05 misses.
 var missScenarios = []struct {
 	file   string
@@ -49,6 +49,8 @@ var missScenarios = []struct {
 }
 
 const (
+	// serveClients is the number of closed-loop clients.
+	serveClients = 2
 	// hitsPerMiss resubmissions of completed keys follow every miss.
 	hitsPerMiss = 10
 	// joinScenario is the suite both clients submit together at the end
@@ -103,8 +105,8 @@ type reqRecord struct {
 	code  int
 	cache string
 	body  []byte
-	lat   time.Duration
-	err   error
+	timing
+	err error
 }
 
 // serveBench drives an in-process consensus-serve on a loopback listener
@@ -153,7 +155,10 @@ func setupServe(ctx context.Context, seed uint64, cycles int) (*serveBench, erro
 		return nil, err
 	}
 	b.srv = serve.NewServer(serve.Config{
-		JobWorkers:   suiteClients(),
+		// One job on one suite worker at a time: two concurrent suites made
+		// the peak RSS swing by a tenth with which suites overlapped. The
+		// other client's miss waits in the queue (serve.queue_wait_ms_p50).
+		JobWorkers:   1,
 		SuiteWorkers: 1,
 		Log:          log.New(os.Stderr, "consensus-serve: ", 0),
 	})
@@ -232,7 +237,7 @@ func servePlans(seed uint64, cycles int, weights []int, join int) [][]op {
 			slots = append(slots, i)
 		}
 	}
-	plans := make([][]op, suiteClients())
+	plans := make([][]op, serveClients)
 	for c := range plans {
 		r := rng.New(seedFor(seed, 1<<40|uint64(c)))
 		misses := 0
@@ -312,6 +317,7 @@ func (b *serveBench) send(req *http.Request) (int, string, []byte, error) {
 func (b *serveBench) do(ctx context.Context, kind opKind, key jobKey, body []byte, tr *tracer) reqRecord {
 	rec := reqRecord{kind: kind, key: key}
 	t0 := time.Now()
+	rec.start = t0
 	if tr == nil || kind != opMiss {
 		rec.code, rec.cache, rec.body, rec.err = b.post(ctx, body, key.seed, true)
 		rec.lat = time.Since(t0)
@@ -451,7 +457,7 @@ func (b *serveBench) pass(ctx context.Context, tr *tracer) *passStats {
 	}
 	wg.Wait()
 	end := time.Now()
-	st := &passStats{clients: clients, wall: end.Sub(start)}
+	st := &passStats{clients: clients, start: start, wall: end.Sub(start)}
 	traceIdle(tr, finished, end)
 	b.check(ctx, st, recs)
 	return st
@@ -551,9 +557,9 @@ func (b *serveBench) check(ctx context.Context, st *passStats, recs [][]reqRecor
 			case "miss":
 				st.runs += b.scens[r.key.scen].runs
 				st.violations += len(v.Result.Report.Violations)
-				st.miss = append(st.miss, r.lat)
+				st.miss = append(st.miss, r.timing)
 			case "hit":
-				st.hit = append(st.hit, r.lat)
+				st.hit = append(st.hit, r.timing)
 			}
 		}
 	}
@@ -600,6 +606,7 @@ func (b *serveBench) scrape(ctx context.Context) (map[string]float64, error) {
 func (b *serveBench) layers(untraced, traced *passStats, tr *tracer) map[string]float64 {
 	m := b.metrics
 	submitted := m["consensus_serve_submitted_total"]
+	hit := latencies(untraced.hit, nil)
 	return map[string]float64{
 		"scenario.decode_ms":         meanMS(b.decode),
 		"scenario.hash_ms":           meanMS(b.hash),
@@ -609,9 +616,9 @@ func (b *serveBench) layers(untraced, traced *passStats, tr *tracer) map[string]
 		"scenario.runs":              float64(traced.runs),
 		"scenario.expect_violations": float64(traced.violations),
 		"serve.hit.decode_hash_ms":   meanMS(tr.byName("serve.hit.decode_hash", "")),
-		"serve.hit_p50_ms":           ms(quantile(untraced.hit, 0.5)),
-		"serve.hit_p90_ms":           ms(quantile(untraced.hit, 0.9)),
-		"serve.hit_p99_ms":           ms(quantile(untraced.hit, 0.99)),
+		"serve.hit_p50_ms":           ms(quantile(hit, 0.5)),
+		"serve.hit_p90_ms":           ms(quantile(hit, 0.9)),
+		"serve.hit_p99_ms":           ms(quantile(hit, 0.99)),
 		"serve.queue_wait_ms_p50":    ms(quantile(tr.byName("serve.queue_wait", ""), 0.5)),
 		"serve.execute_ms_p50":       ms(quantile(tr.byName("serve.execute", ""), 0.5)),
 		"serve.deliver_ms_p50":       ms(quantile(tr.byName("serve.deliver", ""), 0.5)),
