@@ -1,7 +1,7 @@
 // Package analytic provides closed-form and exact-arithmetic computations
 // from the paper: the process functions of Eq. 1 and Eq. 2, the shared
 // expected one-step drift of 2-Choices and 3-Majority (footnote 2), the
-// general h-Majority process function by exact enumeration, the Appendix B
+// exact general h-Majority process function, the Appendix B
 // counterexample (Eq. 24), and the Chernoff-bound quantities of Theorem 5.
 package analytic
 

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"github.com/ignorecomply/consensus/internal/majorize"
+	"github.com/ignorecomply/consensus/internal/rng"
 )
 
 func TestVoterAlphaIsIdentity(t *testing.T) {
@@ -54,36 +55,56 @@ func TestTwoChoicesKeepProbability(t *testing.T) {
 }
 
 func TestHMajorityAlphaH1H2AreVoter(t *testing.T) {
-	x := []float64{0.5, 0.3, 0.2}
-	for _, h := range []int{1, 2} {
-		got, err := HMajorityAlpha(x, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range x {
-			if math.Abs(got[i]-x[i]) > 1e-12 {
-				t.Fatalf("h=%d: α = %v, want Voter %v", h, got, x)
+	var e AlphaEvaluator
+	for _, x := range [][]float64{{0.5, 0.3, 0.2}, wideVector(300)} {
+		got := make([]float64, len(x))
+		for _, h := range []int{1, 2} {
+			if err := e.Alpha(x, h, got); err != nil {
+				t.Fatal(err)
+			}
+			for i := range x {
+				if math.Abs(got[i]-x[i]) > 1e-12 {
+					t.Fatalf("h=%d slot %d: α = %v, want Voter %v", h, i, got[i], x[i])
+				}
+				// h = 1 is the identity bit for bit: the batch law draws
+				// from x itself, as Voter does.
+				if h == 1 && got[i] != x[i] {
+					t.Fatalf("h=1 slot %d: α = %v, want exactly %v", i, got[i], x[i])
+				}
 			}
 		}
 	}
 }
 
+// wideVector returns a fraction vector over k colors with counts 1..k,
+// every value distinct.
+func wideVector(k int) []float64 {
+	x := make([]float64, k)
+	n := float64(k * (k + 1) / 2)
+	for i := range x {
+		x[i] = float64(i+1) / n
+	}
+	return x
+}
+
 func TestHMajorityAlphaH3MatchesEq2(t *testing.T) {
+	var e AlphaEvaluator
 	vectors := [][]float64{
 		{0.5, 0.3, 0.2},
 		{0.25, 0.25, 0.25, 0.25},
 		{0.9, 0.1},
 		{0.5, 1.0 / 6, 1.0 / 6, 1.0 / 6},
+		wideVector(200),
 	}
 	for _, x := range vectors {
-		got, err := HMajorityAlpha(x, 3)
-		if err != nil {
+		got := make([]float64, len(x))
+		if err := e.Alpha(x, 3, got); err != nil {
 			t.Fatal(err)
 		}
 		want := ThreeMajorityAlpha(x, nil)
 		for i := range x {
 			if math.Abs(got[i]-want[i]) > 1e-10 {
-				t.Fatalf("x=%v: enumeration %v vs Eq.2 %v", x, got, want)
+				t.Fatalf("k=%d slot %d: evaluator %v vs Eq.2 %v", len(x), i, got[i], want[i])
 			}
 		}
 	}
@@ -122,12 +143,20 @@ func TestHMajorityAlphaErrors(t *testing.T) {
 	if _, err := HMajorityAlpha([]float64{0, 0}, 3); err == nil {
 		t.Error("expected error: empty support")
 	}
-	big := make([]float64, 4000)
-	for i := range big {
-		big[i] = 1.0 / 4000
+	// No support is too wide: 6-Majority over 4000 colors (C(4005, 6)
+	// sample outcomes) evaluates to the uniform fixed point.
+	wide := make([]float64, 4000)
+	for i := range wide {
+		wide[i] = 1.0 / 4000
 	}
-	if _, err := HMajorityAlpha(big, 6); err == nil {
-		t.Error("expected error: enumeration too large")
+	got, err := HMajorityAlpha(wide, 6)
+	if err != nil {
+		t.Fatalf("wide support: %v", err)
+	}
+	for i := range got {
+		if math.Abs(got[i]-wide[i]) > 1e-12*wide[i] {
+			t.Fatalf("wide support slot %d: α = %v, want %v", i, got[i], wide[i])
+		}
 	}
 }
 
@@ -262,35 +291,10 @@ func TestQuickHMajorityConsistency(t *testing.T) {
 	}
 }
 
-// TestHMajorityTermsMatchesBinomial: the allocation-free multiplicative
-// count must agree with the big.Int binomial for every (h, s) the batch
-// step can see, and report -1 exactly when the bound is exceeded.
-func TestHMajorityTermsMatchesBinomial(t *testing.T) {
-	for h := 1; h <= 9; h++ {
-		for s := 1; s <= 24; s++ {
-			want := new(big.Int).Binomial(int64(h+s-1), int64(s-1))
-			got := HMajorityTerms(h, s, MaxEnumerationTerms)
-			if want.IsInt64() && want.Int64() <= MaxEnumerationTerms {
-				if int64(got) != want.Int64() {
-					t.Errorf("HMajorityTerms(%d, %d) = %d, want %s", h, s, got, want)
-				}
-			} else if got != -1 {
-				t.Errorf("HMajorityTerms(%d, %d) = %d, want -1 (over bound)", h, s, got)
-			}
-		}
-	}
-	if got := HMajorityTerms(5, 8, 100); got != -1 {
-		t.Errorf("HMajorityTerms(5, 8, 100) = %d, want -1 (792 terms over the caller bound)", got)
-	}
-	if got := HMajorityTerms(-1, 3, 10); got != -1 {
-		t.Errorf("HMajorityTerms(-1, 3, 10) = %d, want -1 (negative h)", got)
-	}
-}
-
-// TestAlphaEnumeratorMatchesHMajorityAlpha: the reusable enumerator and the
+// TestAlphaEvaluatorMatchesHMajorityAlpha: the reusable evaluator and the
 // allocating wrapper are the same computation.
-func TestAlphaEnumeratorMatchesHMajorityAlpha(t *testing.T) {
-	var e AlphaEnumerator
+func TestAlphaEvaluatorMatchesHMajorityAlpha(t *testing.T) {
+	var e AlphaEvaluator
 	for _, x := range [][]float64{
 		{0.5, 0.3, 0.2},
 		{0.25, 0, 0.25, 0.5},
@@ -303,7 +307,7 @@ func TestAlphaEnumeratorMatchesHMajorityAlpha(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := make([]float64, len(x))
-			// Twice through the same enumerator: scratch reuse must not
+			// Twice through the same evaluator: scratch reuse must not
 			// leak state between calls.
 			for pass := 0; pass < 2; pass++ {
 				if err := e.Alpha(x, h, got); err != nil {
@@ -311,7 +315,7 @@ func TestAlphaEnumeratorMatchesHMajorityAlpha(t *testing.T) {
 				}
 				for i := range want {
 					if math.Abs(got[i]-want[i]) > 1e-12 {
-						t.Fatalf("h=%d pass %d slot %d: enumerator %.15f, wrapper %.15f", h, pass, i, got[i], want[i])
+						t.Fatalf("h=%d pass %d slot %d: evaluator %.15f, wrapper %.15f", h, pass, i, got[i], want[i])
 					}
 				}
 			}
@@ -319,11 +323,11 @@ func TestAlphaEnumeratorMatchesHMajorityAlpha(t *testing.T) {
 	}
 }
 
-// TestAlphaEnumeratorZeroAllocs: after the first call sizes the scratch,
+// TestAlphaEvaluatorZeroAllocs: after the first call sizes the scratch,
 // evaluating the process function must not allocate — the count-based
 // h-Majority batch round depends on it.
-func TestAlphaEnumeratorZeroAllocs(t *testing.T) {
-	var e AlphaEnumerator
+func TestAlphaEvaluatorZeroAllocs(t *testing.T) {
+	var e AlphaEvaluator
 	x := []float64{0.3, 0.1, 0.2, 0.15, 0.05, 0.08, 0.07, 0.05}
 	out := make([]float64, len(x))
 	if err := e.Alpha(x, 5, out); err != nil {
@@ -334,13 +338,13 @@ func TestAlphaEnumeratorZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Errorf("AlphaEnumerator.Alpha allocates %.2f times per call, want 0", avg)
+		t.Errorf("AlphaEvaluator.Alpha allocates %.2f times per call, want 0", avg)
 	}
 }
 
-// TestAlphaEnumeratorErrors mirrors the wrapper's error contract.
-func TestAlphaEnumeratorErrors(t *testing.T) {
-	var e AlphaEnumerator
+// TestAlphaEvaluatorErrors mirrors the wrapper's error contract.
+func TestAlphaEvaluatorErrors(t *testing.T) {
+	var e AlphaEvaluator
 	out := make([]float64, 2)
 	if err := e.Alpha([]float64{0.5, 0.5}, 0, out); err == nil {
 		t.Error("h = 0 accepted")
@@ -350,5 +354,81 @@ func TestAlphaEnumeratorErrors(t *testing.T) {
 	}
 	if err := e.Alpha([]float64{0.5, 0.5}, 3, make([]float64, 3)); err == nil {
 		t.Error("output length mismatch accepted")
+	}
+}
+
+// TestAlphaEvaluatorMatchesRationalOracle: the floating-point evaluator
+// against the exact rational enumeration, entry by entry at relative error
+// 1e-12, for h = 1..8 on random, near-consensus (one color above 1−10⁻⁶),
+// all-equal and all-distinct count vectors.
+func TestAlphaEvaluatorMatchesRationalOracle(t *testing.T) {
+	r := rng.New(71)
+	random := make([]int, 6)
+	for i := range random {
+		random[i] = 1 + r.IntN(50)
+	}
+	cases := map[string][]int{
+		"random":         random,
+		"near-consensus": {9_999_992, 1, 2, 3, 1, 1},
+		"all-equal":      {5, 5, 5, 5, 5, 5, 5},
+		"all-distinct":   {1, 2, 3, 4, 5, 6},
+		"with-zeros":     {3, 0, 3, 1, 0, 2},
+	}
+	var e AlphaEvaluator
+	for _, name := range []string{"random", "near-consensus", "all-equal", "all-distinct", "with-zeros"} {
+		counts := cases[name]
+		n := 0
+		for _, c := range counts {
+			n += c
+		}
+		xr := make([]*big.Rat, len(counts))
+		xf := make([]float64, len(counts))
+		for i, c := range counts {
+			xr[i] = big.NewRat(int64(c), int64(n))
+			xf[i] = float64(c) / float64(n)
+		}
+		got := make([]float64, len(counts))
+		for h := 1; h <= 8; h++ {
+			want, err := HMajorityAlphaRat(xr, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Alpha(xf, h, got); err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				w, _ := want[i].Float64()
+				if w == 0 {
+					if got[i] != 0 {
+						t.Errorf("%s h=%d slot %d: α = %g, want 0", name, h, i, got[i])
+					}
+					continue
+				}
+				if rel := math.Abs(got[i]-w) / w; rel > 1e-12 {
+					t.Errorf("%s h=%d slot %d: α = %.17g, exact %.17g (relative error %.2g)", name, h, i, got[i], w, rel)
+				}
+			}
+		}
+	}
+}
+
+// TestGaussLegendreExact: the m-node rule integrates w^t over [0, 1]
+// exactly for every t ≤ 2m−1, the degree bound the tie integral relies on.
+func TestGaussLegendreExact(t *testing.T) {
+	var e AlphaEvaluator
+	for m := 1; m <= 12; m++ {
+		nodes, weights := e.gaussLegendre(m)
+		if len(nodes) != m || len(weights) != m {
+			t.Fatalf("m=%d: %d nodes, %d weights", m, len(nodes), len(weights))
+		}
+		for deg := 0; deg <= 2*m-1; deg++ {
+			got := 0.0
+			for q, w := range nodes {
+				got += weights[q] * math.Pow(w, float64(deg))
+			}
+			if want := 1 / float64(deg+1); math.Abs(got-want) > 1e-14 {
+				t.Errorf("m=%d: ∫w^%d = %.17g, want %.17g", m, deg, got, want)
+			}
+		}
 	}
 }

@@ -161,12 +161,14 @@ func TestThreeMajorityLipschitzDominatesMap(t *testing.T) {
 func TestHMajorityLipschitzDominatesMap(t *testing.T) {
 	const h = 5
 	r := rng.New(32)
-	var e AlphaEnumerator
+	var e AlphaEvaluator
 	lips := HMajorityLipschitz(h)
 	for trial := 0; trial < 200; trial++ {
 		x, z := randomSimplexPair(r, 4, 0.1)
 		d := l1Dist(x, z)
-		if d == 0 {
+		// A move from a color to itself leaves z = x up to rounding; such
+		// a pair measures the evaluator's ulps, not the map's expansion.
+		if d < 1e-12 {
 			continue
 		}
 		ax, az := make([]float64, len(x)), make([]float64, len(x))

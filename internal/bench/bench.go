@@ -69,8 +69,8 @@ type workload struct {
 }
 
 // ruleFactories maps the rules the sweep measures to their constructors.
-// "5-majority" exercises the count-based h-Majority batch law (exact
-// enumeration + one Mult(n, α) draw), whose ns/round must be independent
+// "5-majority" exercises the count-based h-Majority batch law (exact α
+// evaluation + one Mult(n, α) draw), whose ns/round must be independent
 // of n — the full scale records it at n=1e5 and n=1e6 to pin that.
 var ruleFactories = map[string]consensus.Factory{
 	"3-majority": func() consensus.Rule { return consensus.NewThreeMajority() },

@@ -65,8 +65,8 @@ type MeanFielder interface {
 	Rule
 	// MeanFieldStep writes α(x) into out (len(out) == len(x); x is a
 	// probability vector over slots) and reports whether the map is
-	// evaluable at this support size — h-Majority's enumerated map is
-	// bounded by rules.StepEnumerationMaxTerms.
+	// evaluable at x. The in-tree rules evaluate their exact maps at any
+	// support; false leaves the hybrid engine on exact rounds.
 	MeanFieldStep(x, out []float64) bool
 	// MeanFieldLipschitz returns an upper bound on the L1→L1 Lipschitz
 	// constant of the map, valid on the intersection of the simplex with

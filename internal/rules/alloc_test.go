@@ -1,19 +1,22 @@
 package rules
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"github.com/ignorecomply/consensus/internal/config"
 	"github.com/ignorecomply/consensus/internal/core"
 	"github.com/ignorecomply/consensus/internal/rng"
+	"github.com/ignorecomply/consensus/internal/sim"
 	"github.com/ignorecomply/consensus/internal/stats"
 )
 
 // TestBatchStepZeroSteadyStateAllocs: a steady-state batch round must not
 // allocate for the rules the hot loop leans on — the AC laws (Voter,
 // 3-Majority), the keeper/switcher laws (2-Choices, LazyVoter), and the
-// count-based h-Majority law, whose per-round enumeration reuses the
-// scratch held by analytic.AlphaEnumerator.
+// count-based h-Majority law, whose per-round α evaluation reuses the
+// scratch held by analytic.AlphaEvaluator.
 func TestBatchStepZeroSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -39,84 +42,66 @@ func TestBatchStepZeroSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestPerNodeStepZeroSteadyStateAllocs: the O(n·h) fallback law —
-// stepPerNode rebuilding the alias table and resolving each node's
-// plurality — must also stop allocating once its scratch reaches
-// steady-state capacity (the h > 16 tie buffer is the one waived cold
-// path, not exercised here).
-func TestPerNodeStepZeroSteadyStateAllocs(t *testing.T) {
+// TestHMajorityStepZeroAllocsWideSupport: the batch round stays
+// allocation-free at the widest support there is — every node its own
+// color, 5-Majority over 1024 live colors — and a few rounds in, where the
+// counts have spread over several distinct values. The configuration is
+// reset from a snapshot before each measured round, so every round sees
+// the same support and the scratch sized by the warm-up round suffices.
+func TestHMajorityStepZeroAllocsWideSupport(t *testing.T) {
 	m := NewHMajority(5)
-	m.forcePerNode = true
 	r := rng.New(33)
-	c := config.Balanced(4096, 8)
-	for i := 0; i < 5; i++ {
-		m.Step(c, r) // reach steady state
-	}
-	if avg := testing.AllocsPerRun(50, func() { m.Step(c, r) }); avg != 0 {
-		t.Errorf("per-node batch round allocates %.2f times, want 0", avg)
-	}
-}
-
-// TestHMajorityStepRegimes pins the cutoff: narrow supports take the
-// count-based law, wide supports fall back to the per-node sampler. Both
-// paths must preserve the configuration invariant.
-func TestHMajorityStepRegimes(t *testing.T) {
-	r := rng.New(32)
-	// h=5 over 8 live colors: 792 terms, count-based.
-	m := NewHMajority(5)
-	c := config.Balanced(10_000, 8)
-	m.Step(c, r)
-	if err := c.CheckInvariant(); err != nil {
-		t.Fatal(err)
-	}
-	if m.alias != nil {
-		t.Error("narrow support built the fallback alias table; count-based path not taken")
-	}
-	// h=5 over 256 live colors: C(260, 255) ≈ 9.7e9 terms, per-node.
-	wide := config.Balanced(10_000, 256)
-	m.Step(wide, r)
-	if err := wide.CheckInvariant(); err != nil {
-		t.Fatal(err)
-	}
-	if m.alias == nil {
-		t.Error("wide support did not fall back to the per-node sampler")
+	c := config.Singleton(1024)
+	for round := 0; round < 3; round++ {
+		snap := append([]int(nil), c.CountsView()...)
+		if avg := testing.AllocsPerRun(50, func() {
+			copy(c.CountsView(), snap)
+			m.Step(c, r)
+		}); avg != 0 {
+			t.Errorf("round %d (%d live colors): batch round allocates %.2f times, want 0", round, c.Remaining(), avg)
+		}
+		if err := c.CheckInvariant(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// TestHMajorityCountBasedMatchesPerNode cross-validates the two batch-step
-// regimes over whole trajectories: with forcePerNode pinning the O(n·h)
-// sampler, the consensus-time and winner distributions must be
-// statistically indistinguishable from the count-based law at the
-// documented equivalence budget. Seeded, so deterministic.
+// TestHMajorityCountBasedMatchesPerNode cross-validates the batch law
+// against the literal per-node law over whole trajectories: Step's
+// count-based round on EngineBatch against every node resolving its own h
+// pulls through Update on EngineAgents. The start is wide — 3-Majority over
+// 100 colors, C(102, 3) ≈ 1.7·10⁵ sample outcomes — so the exact α holds
+// at supports brute-force enumeration could not afford every round. The
+// consensus-time (KS) and winner (chi-square) distributions must be
+// indistinguishable at the documented equivalence budget. Seeded, so
+// deterministic.
 func TestHMajorityCountBasedMatchesPerNode(t *testing.T) {
 	const (
 		n    = 400
-		k    = 6
-		h    = 5
+		k    = 100
+		h    = 3
 		reps = 100
 	)
-	collect := func(perNode bool, seedBase uint64) (rounds []float64, wins []int) {
+	collect := func(engine sim.Engine, seedBase uint64) (rounds []float64, wins []int) {
 		wins = make([]int, k)
 		for rep := 0; rep < reps; rep++ {
-			m := NewHMajority(h)
-			m.forcePerNode = perNode
-			r := rng.New(seedBase + uint64(rep))
-			c := config.Balanced(n, k)
-			round := 0
-			for ; c.Remaining() > 1 && round < 10_000; round++ {
-				m.Step(c, r)
+			res, err := sim.NewRunner(NewHMajority(h),
+				sim.WithEngine(engine), sim.WithParallelism(1),
+				sim.WithMaxRounds(10_000), sim.WithSeed(seedBase+uint64(rep))).
+				Run(context.Background(), config.Balanced(n, k))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if c.Remaining() > 1 {
-				t.Fatalf("perNode=%v rep %d: no consensus in 10k rounds", perNode, rep)
+			if !res.Converged {
+				t.Fatalf("%v rep %d: no consensus in 10k rounds", engine, rep)
 			}
-			rounds = append(rounds, float64(round))
-			slot, _ := c.Max()
-			wins[c.Label(slot)]++
+			rounds = append(rounds, float64(res.Rounds))
+			wins[res.WinnerLabel]++
 		}
 		return rounds, wins
 	}
-	countRounds, countWins := collect(false, 50_000)
-	nodeRounds, nodeWins := collect(true, 60_000)
+	countRounds, countWins := collect(sim.EngineBatch, 50_000)
+	nodeRounds, nodeWins := collect(sim.EngineAgents, 60_000)
 
 	ks, err := stats.TwoSampleKS(countRounds, nodeRounds)
 	if err != nil {
@@ -130,34 +115,37 @@ func TestHMajorityCountBasedMatchesPerNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !chi.IndistinguishableAt(stats.DefaultEquivalenceAlpha) {
-		t.Errorf("winner distributions differ count-based vs per-node: %v vs %v (p=%.2g)", countWins, nodeWins, chi.P)
+		t.Errorf("winner distributions differ count-based vs per-node: p=%.2g", chi.P)
 	}
 }
 
-// BenchmarkHMajorityStepRegimes contrasts the two regimes across n: the
-// count-based law must be flat in n, the per-node fallback linear.
-func BenchmarkHMajorityStepRegimes(b *testing.B) {
-	for _, tc := range []struct {
-		name    string
-		perNode bool
-		n       int
-		k       int
+// BenchmarkHMajorityStep measures one batch round across h and support.
+// The round cost must not grow with n: Balanced(1e6, 64) costs no more
+// than Balanced(1e5, 64), whose counts take two distinct values (1563 and
+// 1562) against one. Singleton(1024) is the widest support, every node
+// its own color, where the O(k) multinomial draw dominates.
+func BenchmarkHMajorityStep(b *testing.B) {
+	starts := []struct {
+		name string
+		c    *config.Config
 	}{
-		{"count-based/n=1e5", false, 100_000, 8},
-		{"count-based/n=1e6", false, 1_000_000, 8},
-		{"per-node/n=1e5", true, 100_000, 8},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			m := NewHMajority(5)
-			m.forcePerNode = tc.perNode
-			r := rng.New(1)
-			start := config.Balanced(tc.n, tc.k)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c := start.Clone()
-				m.Step(c, r)
-			}
-		})
+		{"singleton/n=1024", config.Singleton(1024)},
+		{"balanced/n=1e5,k=64", config.Balanced(100_000, 64)},
+		{"balanced/n=1e6,k=64", config.Balanced(1_000_000, 64)},
+	}
+	for _, h := range []int{3, 5, 8, 16} {
+		for _, st := range starts {
+			b.Run(fmt.Sprintf("h=%d/%s", h, st.name), func(b *testing.B) {
+				m := NewHMajority(h)
+				r := rng.New(1)
+				c := st.c.Clone()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(c.CountsView(), st.c.CountsView())
+					m.Step(c, r)
+				}
+			})
+		}
 	}
 }

@@ -11,7 +11,8 @@ import (
 
 // BenchmarkStep measures one exact-law round per rule across color counts.
 // The AC rules and the keeper/switcher rules are O(k); h-Majority's batch
-// form is O(n·h) (per-node draws); 2-Median is O(k²).
+// form is O(k + d·poly(h)) over d distinct counts (BenchmarkHMajorityStep
+// sweeps h); 2-Median is O(k²).
 func BenchmarkStep(b *testing.B) {
 	factories := []struct {
 		name string

@@ -18,38 +18,19 @@ import (
 // tie-break equals "adopt a random sample"). For h = 1 and h = 2 it
 // collapses to Voter, as the paper notes below Conjecture 1.
 //
-// h-Majority is an AC-process, but its process function has no closed form
-// for h >= 4. Its batch step is count-based wherever the exact law is
-// affordable: the process function α(c) is enumerated exactly
-// (analytic.AlphaEnumerator, Eq. 2 generalizes to plurality-of-h) and the
-// round is one Mult(n, α) draw — O(k + terms), independent of n. The
-// enumeration has C(h+support-1, support-1) terms; beyond
-// StepEnumerationMaxTerms the step falls back to sampling each node's h
-// pulls from an alias table over the color distribution, the literal
-// O(n·h) law. AlphaExact exposes the enumerated process function
-// directly (see analytic.HMajorityAlpha).
+// h-Majority is an AC-process whose process function has no closed form
+// for h >= 4. Its batch step evaluates α(c) exactly at any support
+// (analytic.AlphaEvaluator, a grouped generating function over the
+// distinct color fractions) and draws the round as one Mult(n, α) — O(k +
+// d·poly(h)) for d distinct counts, independent of n. AlphaExact exposes
+// the same process function (see analytic.HMajorityAlpha); Update is the
+// literal per-node law the per-node engines run.
 type HMajority struct {
-	h      int
-	next   []int
-	fracs  []float64
-	alpha  []float64
-	sample []int
-	alias  *rng.Alias
-	enum   analytic.AlphaEnumerator
-
-	// forcePerNode pins the O(n·h) fallback path; tests use it to
-	// cross-validate the count-based law against the per-node sampler.
-	forcePerNode bool
+	h     int
+	fracs []float64
+	alpha []float64
+	eval  analytic.AlphaEvaluator
 }
-
-// StepEnumerationMaxTerms is the cutoff between the two batch-step regimes:
-// the count-based exact law enumerates at most this many sample-count
-// outcomes per round. C(h+s-1, s-1) grows fast — h=5 over 8 live colors is
-// 792 terms, over 16 colors 15 504 — so production-scale populations with
-// moderate color counts stay count-based (n-independent) and only wide
-// supports pay the per-node O(n·h) price. The bound is far below
-// analytic.MaxEnumerationTerms because Step pays it every round, not once.
-const StepEnumerationMaxTerms = 100_000
 
 var _ core.Rule = (*HMajority)(nil)
 var _ core.NodeRule = (*HMajority)(nil)
@@ -61,10 +42,7 @@ func NewHMajority(h int) *HMajority {
 	if h < 1 {
 		panic("rules: NewHMajority requires h >= 1")
 	}
-	return &HMajority{
-		h:      h,
-		sample: make([]int, h),
-	}
+	return &HMajority{h: h}
 }
 
 // H returns the sample size h.
@@ -73,67 +51,24 @@ func (m *HMajority) H() int { return m.h }
 // Name implements core.Rule.
 func (m *HMajority) Name() string { return fmt.Sprintf("%d-majority", m.h) }
 
-// Step implements core.Rule. When the live support is within the
-// enumeration bound it applies the count-based exact law — enumerate α(c),
-// draw Mult(n, α) — in time independent of n; otherwise it draws every
-// node's h samples from the current color distribution (exact under
-// Uniform Pull: a uniform node sample is a categorical color sample with
-// probabilities c_i/n).
+// Step implements core.Rule: the count-based exact law — evaluate α(c),
+// draw Mult(n, α) — in time independent of n.
 //
 //consensus:hotpath
 func (m *HMajority) Step(c *config.Config, r *rng.RNG) {
-	counts := c.CountsView()
-	if !m.forcePerNode && analytic.HMajorityTerms(m.h, c.Remaining(), StepEnumerationMaxTerms) > 0 {
-		m.fracs = resizeFloats(m.fracs, len(counts))
-		m.alpha = resizeFloats(m.alpha, len(counts))
-		c.Fractions(m.fracs)
-		if err := m.enum.Alpha(m.fracs, m.h, m.alpha); err == nil {
-			core.ACStep(c, r, m.alpha)
-			return
-		}
+	m.fracs = resizeFloats(m.fracs, c.Slots())
+	m.alpha = resizeFloats(m.alpha, c.Slots())
+	c.Fractions(m.fracs)
+	if err := m.eval.Alpha(m.fracs, m.h, m.alpha); err != nil {
+		panic(err) // unreachable: h >= 1 and a configuration has live support
 	}
-	m.stepPerNode(c, r)
+	core.ACStep(c, r, m.alpha)
 }
 
-// stepPerNode is the O(n·h) fallback law: every node's h pulls are drawn
-// from an alias table over the color counts (rebuilt in place each round),
-// batched through DrawN.
-//
-//consensus:hotpath
-func (m *HMajority) stepPerNode(c *config.Config, r *rng.RNG) {
-	counts := c.CountsView()
-	n := c.N()
-	if m.alias == nil {
-		m.alias = rng.NewAliasCounts(counts)
-	} else {
-		m.alias.ResetCounts(counts)
-	}
-	alias := m.alias
-	m.next = resizeInts(m.next, len(counts))
-	clear(m.next)
-	for node := 0; node < n; node++ {
-		alias.DrawN(r, m.sample)
-		m.next[m.plurality(m.sample, r)]++
-	}
-	copy(counts, m.next)
-}
-
-// MeanFieldStep implements core.MeanFielder: the plurality-of-h map by
-// exact enumeration, evaluable while the live support stays within the
-// per-round term bound (StepEnumerationMaxTerms — the same cutoff as the
-// count-based Step, so wherever the exact law is affordable the
-// mean-field map is too).
+// MeanFieldStep implements core.MeanFielder: the plurality-of-h map,
+// evaluated exactly at any support — false only for an empty support.
 func (m *HMajority) MeanFieldStep(x, out []float64) bool {
-	live := 0
-	for _, v := range x {
-		if v > 0 {
-			live++
-		}
-	}
-	if analytic.HMajorityTerms(m.h, live, StepEnumerationMaxTerms) == 0 {
-		return false
-	}
-	return m.enum.Alpha(x, m.h, out) == nil
+	return m.eval.Alpha(x, m.h, out) == nil
 }
 
 // MeanFieldLipschitz implements core.MeanFielder: the h = 3 map is
@@ -209,9 +144,7 @@ func (m *HMajority) plurality(samples []int, r *rng.RNG) int {
 	return tied[r.IntN(len(tied))]
 }
 
-// AlphaExact returns the exact process function α(c) by enumeration, or an
-// error when the live support is too large (analytic.HMajorityAlpha's
-// enumeration bound).
+// AlphaExact returns the exact process function α(c) in a new slice.
 func (m *HMajority) AlphaExact(c *config.Config) ([]float64, error) {
 	m.fracs = resizeFloats(m.fracs, c.Slots())
 	c.Fractions(m.fracs)

@@ -162,9 +162,8 @@ func TestThreeMajorityAlphaMatchesAnalytic(t *testing.T) {
 	}
 }
 
-// TestHMajorityOneRoundMeanMatchesAlpha: the batch sampler (per-node
-// plurality draws) agrees in expectation with the enumerated process
-// function.
+// TestHMajorityOneRoundMeanMatchesAlpha: the batch sampler agrees in
+// expectation with the exact process function.
 func TestHMajorityOneRoundMeanMatchesAlpha(t *testing.T) {
 	r := rng.New(66)
 	cfg := config.Zipf(200, 4, 1.0)
@@ -179,6 +178,37 @@ func TestHMajorityOneRoundMeanMatchesAlpha(t *testing.T) {
 			if math.Abs(got[s]-alpha[s]) > 0.02 {
 				t.Errorf("h=%d slot %d: mean %.4f, want α %.4f", h, s, got[s], alpha[s])
 			}
+		}
+	}
+}
+
+// TestHMajorityMeanFieldStepAtWideSupport: the mean-field map is
+// evaluable at any support — 5-Majority over 64 and 256 live colors, where
+// brute-force enumeration has C(68, 5) ≈ 1.0·10⁷ and C(260, 5) ≈ 9.5·10⁹
+// sample outcomes — and equals, bit for bit, the α the batch Step draws
+// its round from.
+func TestHMajorityMeanFieldStepAtWideSupport(t *testing.T) {
+	for _, k := range []int{64, 256} {
+		c := config.Zipf(100_000, k, 1.0)
+		x := c.Fractions(nil)
+		out := make([]float64, len(x))
+		m := NewHMajority(5)
+		if !m.MeanFieldStep(x, out) {
+			t.Fatalf("k=%d: MeanFieldStep not evaluable", k)
+		}
+		step := NewHMajority(5)
+		step.Step(c.Clone(), rng.New(1))
+		for i := range out {
+			if out[i] != step.alpha[i] {
+				t.Fatalf("k=%d slot %d: mean-field α %v, Step drew from %v", k, i, out[i], step.alpha[i])
+			}
+		}
+		sum := 0.0
+		for _, a := range out {
+			sum += a
+		}
+		if math.Abs(sum-1) > 1e-12 {
+			t.Fatalf("k=%d: Σα = %v, want 1", k, sum)
 		}
 	}
 }

@@ -107,6 +107,25 @@ var equivSuiteDefs = []struct {
 				Run(context.Background(), config.Balanced(512, 8))
 		},
 	},
+	// Wide balanced supports: C(h+k-1, k-1) exceeds 10⁵ sample outcomes
+	// at the start (h=3 over 128 colors, h=4 over 48), the regime the
+	// batch law once handed to a per-node sampler.
+	{
+		name: "batch/3-majority/wide", k: 128, reps: 100,
+		run: func(rep int) (*Result, error) {
+			return NewRunner(rules.NewHMajority(3),
+				WithEngine(EngineBatch), WithSeed(46_000+uint64(rep))).
+				Run(context.Background(), config.Balanced(512, 128))
+		},
+	},
+	{
+		name: "batch/4-majority/wide", k: 48, reps: 100,
+		run: func(rep int) (*Result, error) {
+			return NewRunner(rules.NewHMajority(4),
+				WithEngine(EngineBatch), WithSeed(47_000+uint64(rep))).
+				Run(context.Background(), config.Balanced(480, 48))
+		},
+	},
 	{
 		name: "agents/5-majority", k: 4, reps: 100,
 		run: func(rep int) (*Result, error) {
