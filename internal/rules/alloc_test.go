@@ -66,6 +66,67 @@ func TestHMajorityStepZeroAllocsWideSupport(t *testing.T) {
 	}
 }
 
+// TestPerNodeStepZeroSteadyStateAllocs: the per-node law the agent engines
+// run — Update resolving one node's plurality of h pulls with a uniform
+// tie-break — must not allocate for h <= 16, where the tie buffer lives on
+// the stack (the h > 16 heap buffer is the one waived cold path). The
+// sample vectors cover a unique plurality, a two-way tie and an all-distinct
+// h-way tie.
+func TestPerNodeStepZeroSteadyStateAllocs(t *testing.T) {
+	for _, h := range []int{3, 5, 16} {
+		m := NewHMajority(h)
+		r := rng.New(33)
+		inputs := [][]int{make([]int, h), make([]int, h), make([]int, h)}
+		for i := 0; i < h; i++ {
+			inputs[0][i] = 7      // unique plurality
+			inputs[1][i] = i % 2  // two-way tie at h = 16, a narrow win for 0 at odd h
+			inputs[2][i] = i + 10 // all distinct: h-way tie
+		}
+		sink := 0
+		if avg := testing.AllocsPerRun(100, func() {
+			for _, s := range inputs {
+				sink += m.Update(0, s, r)
+			}
+		}); avg != 0 {
+			t.Errorf("h=%d: per-node update allocates %.2f times, want 0", h, avg)
+		}
+		if sink == 0 {
+			t.Fatal("updates returned no colors")
+		}
+	}
+}
+
+// TestHMajorityStepRegimes pins that there is one regime: narrow and wide
+// supports alike take the count-based law, a round being exactly
+// Mult(n, α(c)) with α the exact process function. Driven from the same
+// seed, Step must reproduce core.ACStep with AlphaExact's α count for
+// count, at 8 live colors and at 256 (C(260, 5) ≈ 9.7·10⁹ sample outcomes,
+// past any enumeration budget), and preserve the configuration invariant.
+// Zipf starts give every color its own fraction, so a misplaced α entry
+// shows in the draw.
+func TestHMajorityStepRegimes(t *testing.T) {
+	for _, k := range []int{8, 256} {
+		m := NewHMajority(5)
+		c := config.Zipf(10_000, k, 1)
+		want := c.Clone()
+		alpha, err := m.AlphaExact(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Step(c, rng.New(32))
+		core.ACStep(want, rng.New(32), alpha)
+		if err := c.CheckInvariant(); err != nil {
+			t.Fatal(err)
+		}
+		got, exp := c.CountsView(), want.CountsView()
+		for i := range exp {
+			if got[i] != exp[i] {
+				t.Fatalf("k=%d: Step count[%d] = %d, Mult(n, α) draw gives %d", k, i, got[i], exp[i])
+			}
+		}
+	}
+}
+
 // TestHMajorityCountBasedMatchesPerNode cross-validates the batch law
 // against the literal per-node law over whole trajectories: Step's
 // count-based round on EngineBatch against every node resolving its own h
