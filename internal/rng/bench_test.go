@@ -17,6 +17,7 @@ func BenchmarkBinomial(b *testing.B) {
 		{name: "inversion/np=5", n: 1000, p: 0.005},
 		{name: "inversion/np=25", n: 1000, p: 0.025},
 		{name: "btrs/np=100", n: 1000, p: 0.1},
+		{name: "btrs/np=100,n=1e5", n: 100_000, p: 0.001},
 		{name: "btrs/np=1e6", n: 10_000_000, p: 0.1},
 	}
 	for _, tc := range cases {

@@ -161,17 +161,18 @@ func (r *RNG) binomialInversion(n int, p float64) int {
 //consensus:hotpath
 func (r *RNG) binomialBTRS(n int, p float64) int {
 	var (
-		fn    = float64(n)
-		q     = 1 - p
-		spq   = math.Sqrt(fn * p * q)
-		b     = 1.15 + 2.53*spq
-		a     = -0.0873 + 0.0248*b + 0.01*p
-		c     = fn*p + 0.5
-		vr    = 0.92 - 4.2/b
-		alpha = (2.83 + 5.1/b) * spq
-		lpq   = math.Log(p / q)
-		m     = math.Floor((fn + 1) * p)
-		h     = lgamma(m+1) + lgamma(fn-m+1)
+		fn  = float64(n)
+		q   = 1 - p
+		spq = math.Sqrt(fn * p * q)
+		b   = 1.15 + 2.53*spq
+		a   = -0.0873 + 0.0248*b + 0.01*p
+		c   = fn*p + 0.5
+		vr  = 0.92 - 4.2/b
+		// The full acceptance test's constants (two lgamma calls and a
+		// Log) are needed only once a draw misses the squeeze, which most
+		// calls never do; set on first use.
+		haveConsts       bool
+		alpha, lpq, m, h float64
 	)
 	for {
 		u := r.src.Float64() - 0.5
@@ -186,6 +187,13 @@ func (r *RNG) binomialBTRS(n int, p float64) int {
 			return int(kf)
 		}
 		// Full acceptance test against the exact log-pmf ratio.
+		if !haveConsts {
+			alpha = (2.83 + 5.1/b) * spq
+			lpq = math.Log(p / q)
+			m = math.Floor((fn + 1) * p)
+			h = lgamma(m+1) + lgamma(fn-m+1)
+			haveConsts = true
+		}
 		lhs := math.Log(v * alpha / (a/(us*us) + b))
 		rhs := h - lgamma(kf+1) - lgamma(fn-kf+1) + (kf-m)*lpq
 		if lhs <= rhs {
