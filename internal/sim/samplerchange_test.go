@@ -54,7 +54,8 @@ type equivFixture struct {
 
 // equivSuiteDefs enumerates the recorded workloads: every engine whose draw
 // stream the samplers feed, with and without the §5 adversary, plus the
-// h-Majority rule on both the batch law and the per-node engine.
+// h-Majority rule on both the batch law and the per-node engine, and the
+// batch Voter, 3-Majority and 2-Choices laws from the singleton start.
 var equivSuiteDefs = []struct {
 	name string
 	k    int
@@ -124,6 +125,34 @@ var equivSuiteDefs = []struct {
 			return NewRunner(rules.NewHMajority(4),
 				WithEngine(EngineBatch), WithSeed(47_000+uint64(rep))).
 				Run(context.Background(), config.Balanced(480, 48))
+		},
+	},
+	// Singleton starts, every node its own color: the opening rounds put
+	// few trials on each live color, the regime where the batch samplers
+	// draw per trial instead of per color. The winner label is the
+	// winning node's own color, so k = n.
+	{
+		name: "batch/3-majority/singleton", k: 512, reps: 100,
+		run: func(rep int) (*Result, error) {
+			return NewRunner(rules.NewThreeMajority(),
+				WithEngine(EngineBatch), WithSeed(48_000+uint64(rep))).
+				Run(context.Background(), config.Singleton(512))
+		},
+	},
+	{
+		name: "batch/2-choices/singleton", k: 256, reps: 100,
+		run: func(rep int) (*Result, error) {
+			return NewRunner(rules.NewTwoChoices(),
+				WithEngine(EngineBatch), WithSeed(49_000+uint64(rep))).
+				Run(context.Background(), config.Singleton(256))
+		},
+	},
+	{
+		name: "batch/voter/singleton", k: 256, reps: 100,
+		run: func(rep int) (*Result, error) {
+			return NewRunner(rules.NewVoter(),
+				WithEngine(EngineBatch), WithSeed(51_000+uint64(rep))).
+				Run(context.Background(), config.Singleton(256))
 		},
 	},
 	{
