@@ -41,3 +41,45 @@ func TestAliasResetZeroSteadyStateAllocs(t *testing.T) {
 		t.Errorf("ResetCounts allocates %.2f times, want 0", avg)
 	}
 }
+
+// TestMultinomialZeroSteadyStateAllocs: both regimes allocate nothing once
+// the pooled scratch of multinomialTally covers the support — n = k = 1024
+// draws trial by trial, n = 10⁶ by conditional binomials. A fifth of the
+// slots have probability zero.
+func TestMultinomialZeroSteadyStateAllocs(t *testing.T) {
+	probs := make([]float64, 1024)
+	for i := range probs {
+		probs[i] = float64(i % 5)
+	}
+	out := make([]int, len(probs))
+	for _, n := range []int{1024, 1_000_000} {
+		r := New(52)
+		r.Multinomial(n, probs, out)
+		if avg := testing.AllocsPerRun(100, func() { r.Multinomial(n, probs, out) }); avg != 0 {
+			t.Errorf("Multinomial(%d, k=%d) allocates %.2f times, want 0", n, len(probs), avg)
+		}
+	}
+}
+
+// TestThinZeroAllocs: Thin allocates nothing in either regime — geometric
+// skipping, one skipGap per hit, at p = 0.01 and per-slot binomials at
+// p = 0.9 — into a separate slice or in place.
+func TestThinZeroAllocs(t *testing.T) {
+	counts := make([]int, 1024)
+	for i := range counts {
+		counts[i] = i % 4
+	}
+	hits := make([]int, len(counts))
+	for _, p := range []float64{0.01, 0.9} {
+		r := New(53)
+		if avg := testing.AllocsPerRun(100, func() { r.Thin(counts, p, hits) }); avg != 0 {
+			t.Errorf("Thin(p=%v) allocates %.2f times, want 0", p, avg)
+		}
+		if avg := testing.AllocsPerRun(100, func() {
+			copy(hits, counts)
+			r.Thin(hits, p, hits)
+		}); avg != 0 {
+			t.Errorf("Thin(p=%v) in place allocates %.2f times, want 0", p, avg)
+		}
+	}
+}

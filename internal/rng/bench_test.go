@@ -32,20 +32,50 @@ func BenchmarkBinomial(b *testing.B) {
 	}
 }
 
-// BenchmarkMultinomial sweeps the category count: the conditional-binomial
-// scheme is O(k) per draw.
+// BenchmarkMultinomial sweeps the category count at a million trials,
+// where conditional binomials cost O(k) per draw, and the per-trial regime
+// at n = k (the singleton start's first round), plus both sides of the
+// n = tallyTrialsPerLive·k switch at k = 1024.
 func BenchmarkMultinomial(b *testing.B) {
-	for _, k := range []int{10, 1000, 100_000} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+	cases := []struct{ n, k int }{
+		{n: 1_000_000, k: 10},
+		{n: 1_000_000, k: 1000},
+		{n: 1_000_000, k: 100_000},
+		{n: 1024, k: 1024},
+		{n: 65536, k: 65536},
+		{n: tallyTrialsPerLive * 1024, k: 1024},
+		{n: tallyTrialsPerLive*1024 + 1, k: 1024},
+	}
+	for _, tc := range cases {
+		b.Run(fmt.Sprintf("n=%d,k=%d", tc.n, tc.k), func(b *testing.B) {
 			r := New(2)
-			probs := make([]float64, k)
+			probs := make([]float64, tc.k)
 			for i := range probs {
-				probs[i] = 1 / float64(k)
+				probs[i] = 1 / float64(tc.k)
 			}
-			out := make([]int, k)
+			out := make([]int, tc.k)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r.Multinomial(1_000_000, probs, out)
+				r.Multinomial(tc.n, probs, out)
+			}
+		})
+	}
+}
+
+// BenchmarkThin thins 1024 singleton slots on both sides of the
+// n·p = thinSkipHitsPerLive·live switch: geometric skipping costs one Log1p
+// per hit, the binomial regime one Binomial per live slot.
+func BenchmarkThin(b *testing.B) {
+	counts := make([]int, 1024)
+	for i := range counts {
+		counts[i] = 1
+	}
+	hits := make([]int, len(counts))
+	for _, p := range []float64{1.0 / 1024, 0.5, 0.999} {
+		b.Run(fmt.Sprintf("p=%g", p), func(b *testing.B) {
+			r := New(6)
+			for i := 0; i < b.N; i++ {
+				r.Thin(counts, p, hits)
 			}
 		})
 	}

@@ -64,6 +64,12 @@ func FuzzMultinomial(f *testing.F) {
 	f.Add(uint64(3), 5000, []byte{255, 0, 0, 1})
 	f.Add(uint64(4), 77, []byte{0, 0, 0})
 	f.Add(uint64(5), 31, []byte{128})
+	// Per-trial regime (n <= 9 per live slot), dead slots among the live.
+	f.Add(uint64(6), 20, []byte{0, 200, 10, 255, 31, 100})
+	f.Add(uint64(7), 9, []byte{31, 64, 31, 64, 31})
+	f.Add(uint64(8), 18, []byte{33, 255})
+	f.Add(uint64(9), 19, []byte{33, 255}) // one past the switch
+	f.Add(uint64(10), 1, []byte{0, 0, 0, 0, 0, 0, 0, 40})
 	f.Fuzz(func(t *testing.T, seed uint64, n int, probBytes []byte) {
 		if n < 0 || n > 1_000_000 {
 			t.Skip("n out of the supported range")
@@ -100,6 +106,71 @@ func FuzzMultinomial(f *testing.F) {
 		}
 		if total != want {
 			t.Fatalf("Multinomial: counts sum to %d, want %d (conservation)", total, want)
+		}
+	})
+}
+
+// FuzzThin checks Thin's invariants in both regimes and in place: the
+// returned total equals Σ hits, 0 <= hits[i] <= counts[i], slots with
+// non-positive counts get nothing, p = 0 and p = 1 are exact, and the mean
+// total over 64 draws stays within 8 standard errors of n·p. Counts are
+// the bytes less 16, so some are negative.
+func FuzzThin(f *testing.F) {
+	f.Add(uint64(1), 0.1, []byte{17, 18, 19, 20})
+	f.Add(uint64(2), 0.5, []byte{16, 0, 40, 255})
+	f.Add(uint64(3), 1.0, []byte{20, 30})
+	f.Add(uint64(4), 0.0, []byte{20, 30})
+	f.Add(uint64(5), 0.999999, []byte{17, 17, 17, 18})    // p near 1, skipping
+	f.Add(uint64(6), 2.0/3, []byte{19, 19, 19})           // n·p = 2·live exactly
+	f.Add(uint64(7), 2.0/3+1e-9, []byte{19, 19, 19})      // just past it
+	f.Add(uint64(8), 1e-12, []byte{255, 255, 255, 255})   // gaps far past n
+	f.Add(uint64(9), 0.3, []byte{255, 17, 255, 17, 0, 1}) // binomial regime
+	f.Fuzz(func(t *testing.T, seed uint64, p float64, countBytes []byte) {
+		if len(countBytes) == 0 || len(countBytes) > 64 {
+			t.Skip("no slots")
+		}
+		if math.IsNaN(p) || p < 0 || p > 1 {
+			t.Skip("p outside [0, 1]")
+		}
+		counts := make([]int, len(countBytes))
+		n := 0
+		for i, b := range countBytes {
+			counts[i] = int(b) - 16
+			n += max(counts[i], 0)
+		}
+		r := New(seed)
+		hits := make([]int, len(counts))
+		const draws = 64
+		sum := 0.0
+		for d := 0; d < draws; d++ {
+			var total int
+			if d%2 == 0 {
+				total = r.Thin(counts, p, hits)
+			} else {
+				copy(hits, counts)
+				total = r.Thin(hits, p, hits)
+			}
+			got := 0
+			for i, h := range hits {
+				c := max(counts[i], 0)
+				if h < 0 || h > c {
+					t.Fatalf("Thin(p=%g): slot %d has %d hits of %d", p, i, h, counts[i])
+				}
+				if (p == 0 && h != 0) || (p == 1 && h != c) {
+					t.Fatalf("Thin(p=%g): slot %d has %d hits of %d", p, i, h, counts[i])
+				}
+				got += h
+			}
+			if got != total {
+				t.Fatalf("Thin(p=%g) returned %d, hits sum to %d", p, total, got)
+			}
+			sum += float64(total)
+		}
+		mean := sum / draws
+		se := math.Sqrt(float64(n)*p*(1-p)) / math.Sqrt(draws)
+		if diff := math.Abs(mean - float64(n)*p); diff > 8*se+1 {
+			t.Fatalf("Thin(n=%d, p=%g): mean total %.2f is %.1f away from np=%.2f (8se+1=%.2f)",
+				n, p, mean, diff, float64(n)*p, 8*se+1)
 		}
 	})
 }

@@ -207,6 +207,12 @@ func (r *RNG) binomialBTRS(n int, p float64) int {
 // normalized by its actual sum. Entries with non-positive probability
 // receive 0. The sum of out always equals n.
 //
+// With few trials per live (positive-probability) slot — n at most
+// tallyTrialsPerLive times their number — it draws trial by trial from an
+// alias table over the live slots, O(live + n); otherwise it draws one
+// conditional binomial per live slot, O(live). Both are exact; which one
+// runs depends only on n and the live count.
+//
 //consensus:hotpath
 func (r *RNG) Multinomial(n int, probs []float64, out []int) {
 	if len(out) != len(probs) {
@@ -214,14 +220,20 @@ func (r *RNG) Multinomial(n int, probs []float64, out []int) {
 	}
 	rest := 0.0
 	last := -1 // index of the last positive-probability slot
+	live := 0
 	for i, p := range probs {
 		if p > 0 {
 			rest += p
 			last = i
+			live++
 		}
 		out[i] = 0
 	}
 	if last < 0 || n <= 0 {
+		return
+	}
+	if n <= tallyTrialsPerLive*live {
+		r.multinomialTally(n, probs, live, out)
 		return
 	}
 	remaining := n
@@ -255,6 +267,87 @@ func (r *RNG) Multinomial(n int, probs []float64, out []int) {
 	if remaining > 0 {
 		out[last] += remaining
 	}
+}
+
+// thinSkipHitsPerLive is the expected-hits-per-live-slot bound at or below
+// which Thin skips geometrically from hit to hit (one Log1p per hit)
+// instead of drawing one binomial per live slot.
+const thinSkipHitsPerLive = 2
+
+// Thin draws hits[i] ~ Bin(counts[i], p) independently for every slot and
+// returns Σ hits: each of the Σ counts individuals is kept (a hit) with
+// probability p. hits must have len(hits) == len(counts) and may be counts
+// itself; slots with non-positive counts receive 0.
+//
+// When the expected number of hits is at most thinSkipHitsPerLive per live
+// slot, it walks the slots as one concatenated population, jumping from
+// hit to hit by Geometric(p) gaps, O(live + hits); otherwise it draws one
+// Binomial per live slot. Both are exact; which one runs depends only on
+// p, Σ counts and the live count.
+//
+//consensus:hotpath
+func (r *RNG) Thin(counts []int, p float64, hits []int) int {
+	if len(hits) != len(counts) {
+		panic("rng: Thin hits length mismatch")
+	}
+	n, live := 0, 0
+	for _, c := range counts {
+		if c > 0 {
+			n += c
+			live++
+		}
+	}
+	total := 0
+	switch {
+	case !(p > 0) || n == 0:
+		for i := range hits {
+			hits[i] = 0
+		}
+	case p >= 1:
+		for i, c := range counts {
+			hits[i] = max(c, 0)
+		}
+		total = n
+	case float64(n)*p > thinSkipHitsPerLive*float64(live):
+		for i, c := range counts {
+			h := 0
+			if c > 0 {
+				h = r.Binomial(c, p)
+			}
+			hits[i] = h
+			total += h
+		}
+	default:
+		lq := math.Log1p(-p)
+		// next is the offset of the next hit from the current slot's start.
+		next := r.skipGap(lq, n)
+		for i, c := range counts {
+			c = max(c, 0)
+			h := 0
+			for next < c {
+				h++
+				next += 1 + r.skipGap(lq, n)
+			}
+			next -= c
+			hits[i] = h
+			total += h
+		}
+	}
+	return total
+}
+
+// skipGap draws a Geometric(p) gap — failures before the next success —
+// given lq = Log1p(-p). A gap of n or more passes every remaining
+// individual, so it is capped at n; the comparison is made on the float
+// so that a huge gap never reaches the int conversion.
+//
+//consensus:hotpath
+func (r *RNG) skipGap(lq float64, n int) int {
+	g := math.Log1p(-r.src.Float64()) / lq
+	if g >= float64(n) {
+		return n
+	}
+	return int(g)
 }
 
 // Categorical returns an index sampled proportionally to probs (which need
@@ -324,8 +417,7 @@ func (r *RNG) Geometric(p float64) int {
 	if p <= 0 {
 		panic("rng: Geometric requires p in (0, 1]")
 	}
-	u := r.src.Float64()
-	return int(math.Floor(math.Log1p(-u) / math.Log1p(-p)))
+	return r.skipGap(math.Log1p(-p), math.MaxInt)
 }
 
 // lgamma is math.Lgamma without the sign result (all our arguments are >= 1).

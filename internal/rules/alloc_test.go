@@ -66,6 +66,40 @@ func TestHMajorityStepZeroAllocsWideSupport(t *testing.T) {
 	}
 }
 
+// TestBatchStepZeroAllocsSingleton: Voter, 3-Majority and 2-Choices
+// rounds from Singleton(4096) allocate nothing over three successive
+// rounds, where few trials fall on each live color and rng.Multinomial and
+// rng.Thin draw per trial from pooled scratch. Each measured round restarts
+// from its snapshot, so every run sees the same support.
+func TestBatchStepZeroAllocsSingleton(t *testing.T) {
+	cases := []struct {
+		name string
+		rule core.Rule
+	}{
+		{"voter", NewVoter()},
+		{"3-majority", NewThreeMajority()},
+		{"2-choices", NewTwoChoices()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rng.New(34)
+			c := config.Singleton(4096)
+			for round := 0; round < 3; round++ {
+				snap := append([]int(nil), c.CountsView()...)
+				if avg := testing.AllocsPerRun(50, func() {
+					copy(c.CountsView(), snap)
+					tc.rule.Step(c, r)
+				}); avg != 0 {
+					t.Errorf("round %d (%d live colors): Step allocates %.2f times, want 0", round, c.Remaining(), avg)
+				}
+				if err := c.CheckInvariant(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestPerNodeStepZeroSteadyStateAllocs: the per-node law the agent engines
 // run — Update resolving one node's plurality of h pulls with a uniform
 // tie-break — must not allocate for h <= 16, where the tie buffer lives on

@@ -12,34 +12,43 @@ import (
 // BenchmarkStep measures one exact-law round per rule across color counts.
 // The AC rules and the keeper/switcher rules are O(k); h-Majority's batch
 // form is O(k + d·poly(h)) over d distinct counts (BenchmarkHMajorityStep
-// sweeps h); 2-Median is O(k²).
+// sweeps h); 2-Median is O(k²). Voter, 3-Majority and 2-Choices also run
+// from Singleton(4096), where few trials fall on each live color and the
+// samplers draw per trial.
 func BenchmarkStep(b *testing.B) {
 	factories := []struct {
-		name string
-		mk   func() core.Rule
+		name      string
+		mk        func() core.Rule
+		singleton bool
 	}{
-		{name: "voter", mk: func() core.Rule { return NewVoter() }},
+		{name: "voter", mk: func() core.Rule { return NewVoter() }, singleton: true},
 		{name: "lazy-voter", mk: func() core.Rule { return NewLazyVoter(0.5) }},
-		{name: "2-choices", mk: func() core.Rule { return NewTwoChoices() }},
-		{name: "3-majority", mk: func() core.Rule { return NewThreeMajority() }},
+		{name: "2-choices", mk: func() core.Rule { return NewTwoChoices() }, singleton: true},
+		{name: "3-majority", mk: func() core.Rule { return NewThreeMajority() }, singleton: true},
 		{name: "undecided", mk: func() core.Rule { return NewUndecided() }},
 		{name: "2-median", mk: func() core.Rule { return NewTwoMedian() }},
 		{name: "4-majority", mk: func() core.Rule { return NewHMajority(4) }},
 	}
-	sizes := []struct{ n, k int }{
-		{n: 100_000, k: 16},
-		{n: 100_000, k: 1024},
+	starts := []struct {
+		name string
+		c    *config.Config
+	}{
+		{name: "n=100000,k=16", c: config.Balanced(100_000, 16)},
+		{name: "n=100000,k=1024", c: config.Balanced(100_000, 1024)},
+		{name: "singleton/n=4096", c: config.Singleton(4096)},
 	}
 	for _, f := range factories {
-		for _, sz := range sizes {
-			b.Run(fmt.Sprintf("%s/n=%d,k=%d", f.name, sz.n, sz.k), func(b *testing.B) {
+		for _, st := range starts {
+			if st.c.Slots() == st.c.N() && !f.singleton {
+				continue
+			}
+			b.Run(fmt.Sprintf("%s/%s", f.name, st.name), func(b *testing.B) {
 				r := rng.New(1)
-				start := config.Balanced(sz.n, sz.k)
 				rule := f.mk()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					c := start.Clone()
+					c := st.c.Clone()
 					rule.Step(c, r)
 				}
 			})

@@ -25,8 +25,9 @@ import (
 //
 // Like 2-Choices, LazyVoter is not an AC-process: keeping one's color on a
 // lazy round depends on the node's own color. The batch step is exact and
-// O(k): lazy keepers per color are binomial, and the active nodes pool
-// into one multinomial draw from the color distribution.
+// O(k): the lazy keepers per color are binomial, drawn by rng.Thin, and
+// the active nodes pool into one multinomial draw from the color
+// distribution.
 type LazyVoter struct {
 	beta  float64
 	fracs []float64
@@ -62,16 +63,10 @@ func (l *LazyVoter) Step(c *config.Config, r *rng.RNG) {
 	l.adopt = resizeInts(l.adopt, k)
 	c.Fractions(l.fracs)
 
+	// Each node idles with probability beta, keeping its color: thinning
+	// the counts in place leaves the lazy nodes.
 	counts := c.CountsView()
-	active := 0
-	for j, cj := range counts {
-		if cj == 0 {
-			continue
-		}
-		lazy := r.Binomial(cj, l.beta)
-		counts[j] = lazy
-		active += cj - lazy
-	}
+	active := c.N() - r.Thin(counts, l.beta, counts)
 	// Active nodes adopt a uniform sample from the *previous* round's
 	// distribution (captured in l.fracs before mutation).
 	r.Multinomial(active, l.fracs, l.adopt)

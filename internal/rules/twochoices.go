@@ -19,13 +19,15 @@ import (
 // The batch step samples the exact law by the keeper/switcher
 // decomposition: each node independently adopts color i with probability
 // x_i² (total S = ‖x‖₂²) and keeps its own color with probability 1 − S.
-// Per color j, keepers_j ~ Bin(c_j, 1−S); the pooled switchers distribute
-// as Mult(Σ switchers, x²/S). One binomial per live color plus one
-// multinomial: O(k) per round.
+// Per color j, the departing nodes are Bin(c_j, S), drawn for all colors
+// at once by rng.Thin; the pooled departures redistribute as
+// Mult(Σ departures, x²/S). From many colors S is small and few nodes
+// move, so both draws go trial by trial and a round costs O(k) cheap
+// steps plus O(1) per moving node; elsewhere they take one binomial per
+// live color.
 type TwoChoices struct {
-	fracs     []float64
 	squares   []float64
-	keepers   []int
+	departed  []int
 	switchers []int
 }
 
@@ -44,34 +46,23 @@ func (t *TwoChoices) Name() string { return "2-choices" }
 //consensus:hotpath
 func (t *TwoChoices) Step(c *config.Config, r *rng.RNG) {
 	k := c.Slots()
-	t.fracs = resizeFloats(t.fracs, k)
 	t.squares = resizeFloats(t.squares, k)
-	t.keepers = resizeInts(t.keepers, k)
+	t.departed = resizeInts(t.departed, k)
 	t.switchers = resizeInts(t.switchers, k)
 
-	c.Fractions(t.fracs)
+	c.Fractions(t.squares)
 	s := 0.0
-	for i, x := range t.fracs {
+	for i, x := range t.squares {
 		t.squares[i] = x * x
 		s += t.squares[i]
 	}
 	counts := c.CountsView()
-	totalSwitchers := 0
-	for i, ci := range counts {
-		if ci == 0 {
-			t.keepers[i] = 0
-			continue
-		}
-		// Each node keeps its own color unless both samples agree on some
-		// color (probability S).
-		keep := r.Binomial(ci, 1-s)
-		t.keepers[i] = keep
-		totalSwitchers += ci - keep
-	}
-	// Switchers adopt color i with probability x_i²/S, independently.
-	r.Multinomial(totalSwitchers, t.squares, t.switchers)
+	// Each node leaves its own color when both samples agree on some color
+	// (probability S), and then adopts color i with probability x_i²/S.
+	moved := r.Thin(counts, s, t.departed)
+	r.Multinomial(moved, t.squares, t.switchers)
 	for i := range counts {
-		counts[i] = t.keepers[i] + t.switchers[i]
+		counts[i] += t.switchers[i] - t.departed[i]
 	}
 }
 

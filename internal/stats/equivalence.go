@@ -183,6 +183,69 @@ func ChiSquareUniform(counts []int) (ChiSquareResult, error) {
 	return ChiSquareResult{Stat: stat, DF: df, P: ChiSquareSF(stat, df)}, nil
 }
 
+// ChiSquareGOF is the chi-square goodness-of-fit test of observed category
+// counts against an exact distribution, probs (normalized by its sum): the
+// one-sample check of a sampler against its enumerated pmf. Categories
+// expected fewer than 5 times are pooled into one cell, and that cell, if
+// still expected fewer than 5 times, into the rarest kept one, so a pmf
+// with a long tail of rare outcomes can be passed as is. An observation in
+// a zero-probability category is impossible under the null and gives
+// P = 0. df = (#cells - 1).
+func ChiSquareGOF(observed []int, probs []float64) (ChiSquareResult, error) {
+	if len(observed) != len(probs) {
+		return ChiSquareResult{}, errors.New("stats: ChiSquareGOF length mismatch")
+	}
+	total, mass := 0, 0.0
+	for i, o := range observed {
+		if o < 0 || !(probs[i] >= 0) {
+			return ChiSquareResult{}, errors.New("stats: ChiSquareGOF requires non-negative counts and probabilities")
+		}
+		total += o
+		mass += probs[i]
+	}
+	if total == 0 || mass <= 0 {
+		return ChiSquareResult{}, errors.New("stats: ChiSquareGOF requires positive totals")
+	}
+	const minExpected = 5
+	type cell struct{ obs, exp float64 }
+	var cells []cell
+	var pool cell
+	for i, o := range observed {
+		e := float64(total) * probs[i] / mass
+		switch {
+		case e == 0 && o > 0:
+			return ChiSquareResult{Stat: math.Inf(1), P: 0}, nil
+		case e < minExpected:
+			pool.obs += float64(o)
+			pool.exp += e
+		default:
+			cells = append(cells, cell{float64(o), e})
+		}
+	}
+	if pool.exp >= minExpected || (pool.exp > 0 && len(cells) == 0) {
+		cells = append(cells, pool)
+	} else if pool.exp > 0 {
+		rarest := 0
+		for i, c := range cells {
+			if c.exp < cells[rarest].exp {
+				rarest = i
+			}
+		}
+		cells[rarest].obs += pool.obs
+		cells[rarest].exp += pool.exp
+	}
+	if len(cells) < 2 {
+		return ChiSquareResult{Stat: 0, DF: 0, P: 1}, nil
+	}
+	stat := 0.0
+	for _, c := range cells {
+		d := c.obs - c.exp
+		stat += d * d / c.exp
+	}
+	df := len(cells) - 1
+	return ChiSquareResult{Stat: stat, DF: df, P: ChiSquareSF(stat, df)}, nil
+}
+
 // ChiSquareSF is the chi-square survival function P(χ²_df >= x).
 func ChiSquareSF(x float64, df int) float64 {
 	if df <= 0 {

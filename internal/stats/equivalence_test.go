@@ -205,3 +205,47 @@ func TestChiSquareUniform(t *testing.T) {
 		}
 	}
 }
+
+func TestChiSquareGOF(t *testing.T) {
+	probs := []float64{0.5, 0.3, 0.2, 0}
+	// Counts proportional to probs fit exactly: stat 0, p = 1.
+	res, err := ChiSquareGOF([]int{500, 300, 200, 0}, probs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stat != 0 || res.P != 1 || res.DF != 2 {
+		t.Fatalf("exact fit: got %+v, want stat 0, p 1, df 2", res)
+	}
+	// Swapped frequencies are rejected.
+	if res, _ := ChiSquareGOF([]int{200, 300, 500, 0}, probs); res.IndistinguishableAt(DefaultEquivalenceAlpha) {
+		t.Fatalf("swapped frequencies not rejected: %+v", res)
+	}
+	// One observation of a zero-probability category is impossible.
+	if res, _ := ChiSquareGOF([]int{500, 300, 199, 1}, probs); res.P != 0 {
+		t.Fatalf("impossible category: got %+v, want p 0", res)
+	}
+	// Rare categories pool: 100 draws of {0.96, 0.02, 0.02} leave one
+	// cell of expected 96 and a pooled cell of expected 4, merged into it.
+	res, err = ChiSquareGOF([]int{96, 2, 2}, []float64{0.96, 0.02, 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DF != 0 || res.P != 1 {
+		t.Fatalf("fully pooled: got %+v, want df 0, p 1", res)
+	}
+	// Errors: length mismatch, negative entries, zero totals.
+	for _, tc := range []struct {
+		obs   []int
+		probs []float64
+	}{
+		{[]int{1, 2}, []float64{1}},
+		{[]int{-1, 2}, []float64{0.5, 0.5}},
+		{[]int{1, 2}, []float64{-0.5, 1.5}},
+		{[]int{0, 0}, []float64{0.5, 0.5}},
+		{[]int{1, 2}, []float64{0, 0}},
+	} {
+		if _, err := ChiSquareGOF(tc.obs, tc.probs); err == nil {
+			t.Fatalf("ChiSquareGOF(%v, %v) accepted", tc.obs, tc.probs)
+		}
+	}
+}
