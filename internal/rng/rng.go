@@ -232,8 +232,8 @@ func (r *RNG) Multinomial(n int, probs []float64, out []int) {
 	if last < 0 || n <= 0 {
 		return
 	}
-	if n <= tallyTrialsPerLive*live {
-		r.multinomialTally(n, probs, live, out)
+	if n <= tallyTrialsPerLive*live && len(probs) <= math.MaxInt32 {
+		r.multinomialTally(n, probs, rest, live, out)
 		return
 	}
 	remaining := n

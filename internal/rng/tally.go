@@ -12,13 +12,21 @@ import (
 // per live slot.
 const tallyTrialsPerLive = 9
 
-// tallyScratch is the per-trial multinomial's working storage, all of it
-// sized by the live (positive-probability) slots: their weights, their slot
-// indices and the alias table over them.
+// tallyColumn is one column of the per-trial multinomial's alias table: a
+// draw landing in it takes slot when its fraction is below keep and alias
+// otherwise. Slot and alias are probs indices, so a draw tallies straight
+// into out with one table read.
+type tallyColumn struct {
+	keep        float64
+	slot, alias int32
+}
+
+// tallyScratch is the per-trial multinomial's working storage, one column
+// and one Vose work-list entry per live (positive-probability) slot: 20
+// bytes per live slot, nothing per dead one.
 type tallyScratch struct {
-	weights []float64
-	slots   []int
-	table   Alias
+	cols []tallyColumn
+	work []int32
 }
 
 // tallyPool recycles tally scratch across calls, rounds and runs. The
@@ -29,33 +37,77 @@ var tallyPool = sync.Pool{New: func() any { return new(tallyScratch) }}
 
 // multinomialTally draws Mult(n, probs) into out as n alias draws over the
 // live slots plus a tally. out must be zeroed; live counts the positive
-// entries of probs (at least one). A slot of non-positive probability is
-// never in the table, so it never receives a trial.
+// entries of probs (at least one), total is their sum, and len(probs) must
+// fit the table's int32 slot indices. A slot of non-positive probability
+// has no column, so it never receives a trial.
+//
+// The table is Vose's alias method: columns scaled to mean 1 are split into
+// small (< 1) and large ones, and each small column is topped up from a
+// large one, which becomes its alias. One draw takes one 64-bit word, as
+// Alias.Draw does: the multiply's high bits pick the column and its
+// remainder is the fraction compared with keep.
 //
 //consensus:hotpath
-func (r *RNG) multinomialTally(n int, probs []float64, live int, out []int) {
+func (r *RNG) multinomialTally(n int, probs []float64, total float64, live int, out []int) {
 	s := tallyPool.Get().(*tallyScratch)
-	s.weights = growFloats(s.weights, live)
-	s.slots = growInts(s.slots, live)
-	j := 0
+	if cap(s.cols) < live {
+		s.grow(live)
+	}
+	cols, work := s.cols[:live], s.work[:live]
+
+	// Scale to mean 1; small columns stack from the front of work, large
+	// ones from the back.
+	scale := float64(live) / total
+	j, small, large := 0, 0, live
 	for i, p := range probs {
-		if p > 0 {
-			s.weights[j] = p
-			s.slots[j] = i
-			j++
+		if p <= 0 {
+			continue
+		}
+		w := p * scale
+		cols[j] = tallyColumn{keep: w, slot: int32(i), alias: int32(i)}
+		if w < 1 {
+			work[small] = int32(j)
+			small++
+		} else {
+			large--
+			work[large] = int32(j)
+		}
+		j++
+	}
+	for small > 0 && large < live {
+		small--
+		l, g := work[small], work[large]
+		cols[l].alias = cols[g].slot
+		cols[g].keep = (cols[g].keep + cols[l].keep) - 1
+		if cols[g].keep < 1 {
+			large++
+			work[small] = g
+			small++
 		}
 	}
-	s.table.Reset(s.weights)
-	prob, alias, slots := s.table.prob, s.table.alias, s.slots
+	// Columns left small by rounding keep their own slot outright (large
+	// ones already do: keep >= 1).
+	for _, l := range work[:small] {
+		cols[l].keep = 1
+	}
+
 	k := uint64(live)
 	src := r.pcg
 	for t := 0; t < n; t++ {
 		hi, lo := bits.Mul64(src.Uint64(), k)
-		c := int(hi)
-		if float64(lo>>11)*0x1p-53 >= prob[c] {
-			c = alias[c]
+		c := &cols[hi]
+		slot := c.slot
+		if float64(lo>>11)*0x1p-53 >= c.keep {
+			slot = c.alias
 		}
-		out[slots[c]]++
+		out[slot]++
 	}
 	tallyPool.Put(s)
+}
+
+// grow sizes the scratch for live slots; a cold path, taken only when a
+// wider support than any before reaches the pooled scratch.
+func (s *tallyScratch) grow(live int) {
+	s.cols = make([]tallyColumn, live)
+	s.work = make([]int32, live)
 }
