@@ -2,6 +2,8 @@ package rng
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/ignorecomply/consensus/internal/stats"
@@ -203,5 +205,47 @@ func TestThinExactPMF(t *testing.T) {
 				return hits
 			})
 		})
+	}
+}
+
+// TestMultinomialPooledScratchIsInvisible: the per-trial regime's scratch
+// is pooled across goroutines, so concurrent draws over supports of
+// different widths must reproduce, bit for bit, the same streams drawn one
+// goroutine at a time. Run it under -race to check the pool's sharing.
+func TestMultinomialPooledScratchIsInvisible(t *testing.T) {
+	const workers, rounds = 4, 50
+	draw := func(w int) []int {
+		k := 64 << w
+		probs := make([]float64, k)
+		for i := range probs {
+			probs[i] = float64(i%7) + 0.5
+		}
+		r := New(uint64(70 + w))
+		out := make([]int, k)
+		var all []int
+		for i := 0; i < rounds; i++ {
+			r.Multinomial(k, probs, out)
+			all = append(all, out...)
+		}
+		return all
+	}
+	want := make([][]int, workers)
+	for w := range want {
+		want[w] = draw(w)
+	}
+	got := make([][]int, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w] = draw(w)
+		}()
+	}
+	wg.Wait()
+	for w := range want {
+		if !slices.Equal(got[w], want[w]) {
+			t.Errorf("worker %d: concurrent draws differ from sequential ones", w)
+		}
 	}
 }

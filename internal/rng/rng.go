@@ -1,6 +1,6 @@
 // Package rng provides seedable random number generation and the exact
-// discrete samplers (Bernoulli, binomial, multinomial, categorical) that the
-// consensus simulators are built on.
+// discrete samplers (Bernoulli, binomial, multinomial, binomial thinning,
+// categorical) that the consensus simulators are built on.
 //
 // Everything is deterministic given a seed: experiments derive one stream per
 // replica via Derive, so runs reproduce bit-for-bit. No package-level RNG

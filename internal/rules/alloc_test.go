@@ -218,7 +218,7 @@ func TestHMajorityCountBasedMatchesPerNode(t *testing.T) {
 // The round cost must not grow with n: Balanced(1e6, 64) costs no more
 // than Balanced(1e5, 64), whose counts take two distinct values (1563 and
 // 1562) against one. Singleton(1024) is the widest support, every node
-// its own color, where the O(k) multinomial draw dominates.
+// its own color, where the multinomial draw goes per trial.
 func BenchmarkHMajorityStep(b *testing.B) {
 	starts := []struct {
 		name string
