@@ -1,12 +1,11 @@
-// Command consensus-bench regenerates the paper's results: it runs the
-// registered experiments (E1..E12, one per theorem/lemma/figure/numeric
-// claim — see DESIGN.md §4) and prints their tables.
+// Command consensus-bench records and compares the engine benchmark
+// trajectory.
 //
-// With -json it instead runs the engine benchmark sweep and writes the
+// With -json it runs the engine benchmark sweep and writes the
 // machine-readable benchmark trajectory (ns/round and allocs/round per
 // engine × n × k, plus the parallel speedup curves of the sharded
-// engines) — the file checked in as BENCH_PR<i>.json each PR. The -scale
-// flag then accepts the additional value "smoke" (CI-sized).
+// engines) — the file checked in as BENCH_PR<i>.json. -scale is one of
+// smoke (CI-sized), quick or full.
 //
 // With -compare it diffs two trajectory reports: points are matched by
 // (engine, rule, n, k, parallel), a per-point speedup table is printed,
@@ -14,12 +13,11 @@
 // than -threshold percent ns/round (default 25) — the CI bench smoke job
 // runs it against the last checked-in BENCH_PR<i>.json.
 //
-// Usage:
+// The paper experiments E1–E12 run through consensus-sim
+// (-scenario ID, -list-scenarios).
 //
 // Usage:
 //
-//	consensus-bench [-run E1,E5,E7 | -run all] [-scale quick|full]
-//	                [-seed N] [-workers N] [-csv DIR] [-list]
 //	consensus-bench -json FILE [-scale smoke|quick|full] [-seed N]
 //	                [-parallel P]
 //	consensus-bench -compare [-threshold PCT] old.json new.json
@@ -30,12 +28,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
 	"github.com/ignorecomply/consensus/internal/bench"
-	"github.com/ignorecomply/consensus/internal/expt"
 )
 
 func main() {
@@ -48,14 +43,10 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("consensus-bench", flag.ContinueOnError)
 	var (
-		runIDs  = fs.String("run", "all", "comma-separated experiment IDs, or 'all'")
-		scale   = fs.String("scale", "quick", "experiment scale: quick or full")
-		seed    = fs.Uint64("seed", 1, "random seed (runs reproduce exactly per seed)")
-		workers = fs.Int("workers", 0, "replica parallelism (0 = GOMAXPROCS)")
-		csvDir  = fs.String("csv", "", "also write each table as CSV into this directory")
-		list    = fs.Bool("list", false, "list experiments and exit")
+		scale = fs.String("scale", "quick", "benchmark sweep scale: smoke, quick or full")
+		seed  = fs.Uint64("seed", 1, "random seed (runs reproduce exactly per seed)")
 
-		jsonPath = fs.String("json", "", "run the engine benchmark sweep and write the JSON report to this file (instead of experiments)")
+		jsonPath = fs.String("json", "", "run the engine benchmark sweep and write the JSON report to this file")
 		parallel = fs.Int("parallel", 0, "cap the sharded-engine parallelism sweep for -json (0 = full sweep {1,2,4,8})")
 
 		compare   = fs.Bool("compare", false, "compare two trajectory reports: consensus-bench -compare old.json new.json")
@@ -76,52 +67,7 @@ func run(args []string) error {
 	if *jsonPath != "" {
 		return runJSONBench(*jsonPath, *scale, *seed, *parallel)
 	}
-
-	if *list {
-		for _, e := range expt.Registry() {
-			fmt.Printf("%-4s %-55s %s\n", e.ID, e.Name, e.Claim)
-		}
-		return nil
-	}
-
-	params := expt.Params{Seed: *seed, Workers: *workers}
-	sc, err := expt.ParseScale(*scale)
-	if err != nil {
-		return err
-	}
-	params.Scale = sc
-
-	var selected []expt.Experiment
-	if *runIDs == "all" {
-		selected = expt.Registry()
-	} else {
-		for _, id := range strings.Split(*runIDs, ",") {
-			id = strings.TrimSpace(id)
-			e, ok := expt.ByID(id)
-			if !ok {
-				return fmt.Errorf("unknown experiment %q (use -list)", id)
-			}
-			selected = append(selected, e)
-		}
-	}
-
-	for _, e := range selected {
-		start := time.Now()
-		tbl, err := e.Run(params)
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-		if err := tbl.Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Printf("  (%s, scale=%s, seed=%d, %.1fs)\n\n", e.ID, params.Scale, *seed, time.Since(start).Seconds())
-		if *csvDir != "" {
-			if err := writeCSV(*csvDir, e.ID, tbl); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return fmt.Errorf("nothing to do: give -json FILE or -compare old.json new.json (experiments run through consensus-sim -scenario)")
 }
 
 // runJSONBench runs the engine benchmark sweep and writes the
@@ -145,19 +91,4 @@ func runJSONBench(path, scale string, seed uint64, maxParallel int) error {
 	fmt.Printf("wrote %s (%d points, scale=%s, seed=%d, gomaxprocs=%d, %.1fs)\n",
 		path, len(rep.Points), scale, seed, rep.GOMAXPROCS, time.Since(start).Seconds())
 	return nil
-}
-
-func writeCSV(dir, id string, tbl *expt.Table) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, strings.ToLower(id)+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := tbl.RenderCSV(f); err != nil {
-		return err
-	}
-	return f.Close()
 }

@@ -1,8 +1,9 @@
 // Command consensus-lint runs the project's static-analysis suite
-// (internal/lint): the syntactic tier (detrange, rnghygiene, hotalloc,
-// copylocks) and the dataflow tier (goroutinefree, streamflow, ctxpoll,
-// strictsync) — the machine-checked form of the determinism,
-// RNG-hygiene and hot-path contracts documented in DESIGN.md §7.
+// (internal/lint): the syntactic tier (detrange, rnghygiene, hotalloc)
+// and the dataflow tier (goroutinefree, streamflow, ctxpoll, strictsync):
+// the machine-checked form of the determinism, RNG-hygiene and hot-path
+// contracts documented in DESIGN.md §7. Copies of sync primitives are go
+// vet's copylocks pass.
 //
 // Usage:
 //

@@ -34,7 +34,9 @@ import (
 	"runtime"
 	"strings"
 
-	"github.com/ignorecomply/consensus/internal/expt"
+	// Register the paper-experiment reducers, adapters and stop
+	// predicates that the E1–E12 scenarios name.
+	_ "github.com/ignorecomply/consensus/internal/expt"
 	"github.com/ignorecomply/consensus/scenario"
 	"github.com/ignorecomply/consensus/scenarios"
 )
@@ -107,7 +109,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	scale, err := expt.ParseScale(*scaleName)
+	scale, err := scenario.ParseScale(*scaleName)
 	if err != nil {
 		return err
 	}

@@ -36,8 +36,8 @@
 // executed as a service: cmd/consensus-serve is an HTTP daemon with a
 // content-addressed result cache and streaming progress (DESIGN.md §9).
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// reproduction results; cmd/consensus-bench regenerates every table.
+// See DESIGN.md for the system inventory; cmd/consensus-sim -scenario
+// regenerates every reproduction table.
 package consensus
 
 import (
@@ -51,6 +51,7 @@ import (
 	"github.com/ignorecomply/consensus/internal/rng"
 	"github.com/ignorecomply/consensus/internal/rules"
 	"github.com/ignorecomply/consensus/internal/sim"
+	"github.com/ignorecomply/consensus/scenario"
 )
 
 // Core model types.
@@ -192,9 +193,9 @@ type (
 	// Experiment binds a paper artifact to the scenario regenerating it.
 	Experiment = expt.Experiment
 	// ExperimentParams configures an experiment run.
-	ExperimentParams = expt.Params
+	ExperimentParams = scenario.Params
 	// ExperimentTable is an experiment's tabular output.
-	ExperimentTable = expt.Table
+	ExperimentTable = scenario.Table
 )
 
 // NewRNG returns a deterministic random source seeded with seed.
@@ -343,7 +344,7 @@ func ExperimentByID(id string) (Experiment, bool) { return expt.ByID(id) }
 // Experiment scales.
 const (
 	// QuickScale keeps the full suite in CI-sized time.
-	QuickScale = expt.Quick
+	QuickScale = scenario.Quick
 	// FullScale is the scale EXPERIMENTS.md reports.
-	FullScale = expt.Full
+	FullScale = scenario.Full
 )

@@ -20,7 +20,7 @@ func init() {
 	scenario.RegisterReducer("e1", reduceE1)
 }
 
-func reduceE1(suite *scenario.SuiteResult) (*Table, error) {
+func reduceE1(suite *scenario.SuiteResult) (*scenario.Table, error) {
 	tbl := suite.Scenario.NewTable()
 	var xs, ys []float64
 	for _, cell := range suite.Cells {

@@ -22,7 +22,7 @@ func init() {
 	scenario.RegisterReducer("e2", reduceE2)
 }
 
-func reduceE2(suite *scenario.SuiteResult) (*Table, error) {
+func reduceE2(suite *scenario.SuiteResult) (*scenario.Table, error) {
 	tbl := suite.Scenario.NewTable()
 	gamma, err := suite.Scenario.ParamFloat("gamma", suite.Params.Scale)
 	if err != nil {

@@ -19,7 +19,7 @@ func init() {
 	scenario.RegisterReducer("e3", reduceE3)
 }
 
-func reduceE3(suite *scenario.SuiteResult) (*Table, error) {
+func reduceE3(suite *scenario.SuiteResult) (*scenario.Table, error) {
 	tbl := suite.Scenario.NewTable()
 	cell := suite.Cells[0]
 	n, err := cellInt(cell, "n")

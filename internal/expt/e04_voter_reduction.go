@@ -20,7 +20,7 @@ func init() {
 	scenario.RegisterReducer("e4", reduceE4)
 }
 
-func reduceE4(suite *scenario.SuiteResult) (*Table, error) {
+func reduceE4(suite *scenario.SuiteResult) (*scenario.Table, error) {
 	tbl := suite.Scenario.NewTable()
 	ok := true
 	for _, cell := range suite.Cells {

@@ -23,7 +23,7 @@ func init() {
 	scenario.RegisterAdapter("e5", adaptE5)
 }
 
-func adaptE5(ctx context.Context, s *scenario.Scenario, p scenario.Params) (*Table, error) {
+func adaptE5(ctx context.Context, s *scenario.Scenario, p scenario.Params) (*scenario.Table, error) {
 	n, err := s.ParamInt("n", p.Scale)
 	if err != nil {
 		return nil, err

@@ -23,7 +23,7 @@ func init() {
 	scenario.RegisterAdapter("e6", adaptE6)
 }
 
-func adaptE6(ctx context.Context, s *scenario.Scenario, p scenario.Params) (*Table, error) {
+func adaptE6(ctx context.Context, s *scenario.Scenario, p scenario.Params) (*scenario.Table, error) {
 	n, err := s.ParamInt("n", p.Scale)
 	if err != nil {
 		return nil, err

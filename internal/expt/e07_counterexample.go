@@ -25,7 +25,7 @@ func init() {
 	scenario.RegisterAdapter("e7", adaptE7)
 }
 
-func adaptE7(ctx context.Context, s *scenario.Scenario, p scenario.Params) (*Table, error) {
+func adaptE7(ctx context.Context, s *scenario.Scenario, p scenario.Params) (*scenario.Table, error) {
 	ce, err := analytic.AppendixB()
 	if err != nil {
 		return nil, err
@@ -64,7 +64,7 @@ func adaptE7(ctx context.Context, s *scenario.Scenario, p scenario.Params) (*Tab
 		fractions = append(fractions, float64(c.Count(0))/float64(n))
 	}
 	st := stats.Summarize(fractions)
-	tbl.AddRow("simulated mean fraction (n="+formatFloat(float64(n))+")",
+	tbl.AddRow("simulated mean fraction (n="+scenario.FormatFloat(float64(n))+")",
 		"-", st.Mean, st.Mean > 0.5)
 	tbl.AddNote("simulated mean %.5f ± %.5f vs exact 7/12 = %.5f",
 		st.Mean, stats.CI95HalfWidth(fractions), 7.0/12)

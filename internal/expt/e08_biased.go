@@ -17,7 +17,7 @@ func init() {
 	scenario.RegisterReducer("e8", reduceE8)
 }
 
-func reduceE8(suite *scenario.SuiteResult) (*Table, error) {
+func reduceE8(suite *scenario.SuiteResult) (*scenario.Table, error) {
 	tbl := suite.Scenario.NewTable()
 	n := 0
 	reps := 0

@@ -17,7 +17,7 @@ func init() {
 	scenario.RegisterReducer("e9", reduceE9)
 }
 
-func reduceE9(suite *scenario.SuiteResult) (*Table, error) {
+func reduceE9(suite *scenario.SuiteResult) (*scenario.Table, error) {
 	tbl := suite.Scenario.NewTable()
 	n := 0
 	baseReps := 0

@@ -18,7 +18,7 @@ func init() {
 	scenario.RegisterReducer("e10", reduceE10)
 }
 
-func reduceE10(suite *scenario.SuiteResult) (*Table, error) {
+func reduceE10(suite *scenario.SuiteResult) (*scenario.Table, error) {
 	tbl := suite.Scenario.NewTable()
 	var n, k, window, reps int
 	var epsilon float64
@@ -57,7 +57,7 @@ func reduceE10(suite *scenario.SuiteResult) (*Table, error) {
 		}
 		meanRounds := "-"
 		if stable > 0 {
-			meanRounds = formatFloat(float64(totalRounds) / float64(stable))
+			meanRounds = scenario.FormatFloat(float64(totalRounds) / float64(stable))
 		}
 		tbl.AddRow(name, f, ratioString(stable, reps), ratioString(valid, reps), meanRounds)
 	}

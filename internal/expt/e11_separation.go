@@ -17,7 +17,7 @@ func init() {
 	scenario.RegisterReducer("e11", reduceE11)
 }
 
-func reduceE11(suite *scenario.SuiteResult) (*Table, error) {
+func reduceE11(suite *scenario.SuiteResult) (*scenario.Table, error) {
 	tbl := suite.Scenario.NewTable()
 	n := 0
 	reps := 0

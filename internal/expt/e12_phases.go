@@ -18,7 +18,7 @@ func init() {
 	scenario.RegisterReducer("e12", reduceE12)
 }
 
-func reduceE12(suite *scenario.SuiteResult) (*Table, error) {
+func reduceE12(suite *scenario.SuiteResult) (*scenario.Table, error) {
 	tbl := suite.Scenario.NewTable()
 	reps := 0
 	for _, cell := range suite.Cells {

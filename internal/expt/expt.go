@@ -21,31 +21,6 @@ import (
 	"github.com/ignorecomply/consensus/scenarios"
 )
 
-// Scale selects the experiment budget.
-type Scale = scenario.Scale
-
-// Experiment budgets. Quick keeps the full suite in CI-sized time; Full is
-// the scale EXPERIMENTS.md reports.
-const (
-	Quick = scenario.Quick
-	Full  = scenario.Full
-)
-
-// ParseScale parses a scale name ("quick" or "full").
-func ParseScale(name string) (Scale, error) { return scenario.ParseScale(name) }
-
-// Params configures an experiment run.
-type Params = scenario.Params
-
-// DefaultParams returns quick-scale parameters with a fixed seed.
-func DefaultParams() Params { return scenario.DefaultParams() }
-
-// Table is an experiment's tabular output.
-type Table = scenario.Table
-
-// formatFloat renders floats the way tables do.
-func formatFloat(x float64) string { return scenario.FormatFloat(x) }
-
 // Experiment binds a paper artifact to the scenario regenerating it.
 type Experiment struct {
 	// ID is the experiment identifier (E1..E12).
@@ -59,7 +34,7 @@ type Experiment struct {
 	// Scenario is the decoded spec.
 	Scenario *scenario.Scenario
 	// Run executes the experiment.
-	Run func(p Params) (*Table, error)
+	Run func(p scenario.Params) (*scenario.Table, error)
 }
 
 var loadRegistry = sync.OnceValues(func() ([]Experiment, error) {
@@ -82,7 +57,7 @@ var loadRegistry = sync.OnceValues(func() ([]Experiment, error) {
 			Claim:    s.Experiment.Claim,
 			File:     file,
 			Scenario: s,
-			Run: func(p Params) (*Table, error) {
+			Run: func(p scenario.Params) (*scenario.Table, error) {
 				return scenario.Run(context.Background(), s, p)
 			},
 		})
@@ -123,7 +98,7 @@ func idOrder(id string) int {
 
 // ratioString renders "num/den" counts the way the tables always have.
 func ratioString(num, den int) string {
-	return formatFloat(float64(num)) + "/" + formatFloat(float64(den))
+	return scenario.FormatFloat(float64(num)) + "/" + scenario.FormatFloat(float64(den))
 }
 
 // groupByID returns the named group of a cell.

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/ignorecomply/consensus/scenario"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -39,29 +41,29 @@ func TestByID(t *testing.T) {
 }
 
 func TestScaleString(t *testing.T) {
-	if Quick.String() != "quick" || Full.String() != "full" {
+	if scenario.Quick.String() != "quick" || scenario.Full.String() != "full" {
 		t.Fatal("Scale strings wrong")
 	}
-	if Scale(9).String() == "" {
+	if scenario.Scale(9).String() == "" {
 		t.Fatal("unknown scale should still render")
 	}
 }
 
 func TestDefaultParams(t *testing.T) {
-	p := DefaultParams()
-	if p.Scale != Quick || p.Workers < 1 {
+	p := scenario.DefaultParams()
+	if p.Scale != scenario.Quick || p.Workers < 1 {
 		t.Fatalf("DefaultParams = %+v", p)
 	}
 }
 
 // tinyParams returns the cheapest valid parameters.
-func tinyParams() Params {
-	return Params{Seed: 7, Scale: Quick, Workers: 2}
+func tinyParams() scenario.Params {
+	return scenario.Params{Seed: 7, Scale: scenario.Quick, Workers: 2}
 }
 
 // runAndRender executes an experiment and round-trips its table through
 // both renderers.
-func runAndRender(t *testing.T, id string) *Table {
+func runAndRender(t *testing.T, id string) *scenario.Table {
 	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
@@ -180,7 +182,7 @@ func TestHeavyExperimentsSmoke(t *testing.T) {
 }
 
 func TestTableAddRowFormats(t *testing.T) {
-	tbl := &Table{Columns: []string{"a", "b", "c", "d", "e"}}
+	tbl := &scenario.Table{Columns: []string{"a", "b", "c", "d", "e"}}
 	tbl.AddRow("s", 3, 2.5, true, int64(9))
 	row := tbl.Rows[0]
 	want := []string{"s", "3", "2.500", "yes", "9"}
@@ -202,8 +204,8 @@ func TestFormatFloat(t *testing.T) {
 		{in: 0.0001234, want: "0.000123"},
 	}
 	for _, tt := range tests {
-		if got := formatFloat(tt.in); got != tt.want {
-			t.Errorf("formatFloat(%v) = %q, want %q", tt.in, got, tt.want)
+		if got := scenario.FormatFloat(tt.in); got != tt.want {
+			t.Errorf("scenario.FormatFloat(%v) = %q, want %q", tt.in, got, tt.want)
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"testing"
+
+	"github.com/ignorecomply/consensus/scenario"
 )
 
 // TestScenariosReproduceGoldenTables is the scenario redesign's
@@ -21,11 +23,11 @@ func TestScenariosReproduceGoldenTables(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read golden tables: %v", err)
 	}
-	var want []*Table
+	var want []*scenario.Table
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatalf("decode golden tables: %v", err)
 	}
-	byID := make(map[string]*Table, len(want))
+	byID := make(map[string]*scenario.Table, len(want))
 	for _, tbl := range want {
 		byID[tbl.ID] = tbl
 	}
@@ -33,7 +35,7 @@ func TestScenariosReproduceGoldenTables(t *testing.T) {
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d experiments, golden file has %d", len(reg), len(want))
 	}
-	p := Params{Seed: 1, Scale: Quick, Workers: 4}
+	p := scenario.Params{Seed: 1, Scale: scenario.Quick, Workers: 4}
 	for _, e := range reg {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -53,7 +55,7 @@ func TestScenariosReproduceGoldenTables(t *testing.T) {
 
 // diffTables compares tables field by field so a regression reports the
 // first differing cell rather than a wall of JSON.
-func diffTables(t *testing.T, want, got *Table) {
+func diffTables(t *testing.T, want, got *scenario.Table) {
 	t.Helper()
 	if got.ID != want.ID || got.Title != want.Title || got.Claim != want.Claim {
 		t.Errorf("header mismatch:\n got  %q / %q / %q\n want %q / %q / %q",

@@ -29,8 +29,9 @@
 //     inside a hot function can carry a //lint:alloc waiver.
 //   - goroutinefree: no `go` statement may be reachable (through
 //     same-package static calls) from a //consensus:hotpath function.
-//   - copylocks: a stand-in for x/tools' copylocks pass — flags values
-//     containing sync.Mutex/RWMutex/WaitGroup/Once/Cond copied by value.
+//
+// Copies of sync primitives are left to go vet's copylocks pass, which
+// CI runs on every push.
 //
 // See DESIGN.md §7 for the annotation and waiver policy.
 package lint
@@ -266,7 +267,7 @@ func declaredWithin(obj types.Object, lo, hi token.Pos) bool {
 }
 
 // Analyzers returns the full suite in reporting order: the syntactic
-// tier (detrange, rnghygiene, hotalloc, copylocks) followed by the
+// tier (detrange, rnghygiene, hotalloc) followed by the
 // dataflow tier (goroutinefree, streamflow, ctxpoll, strictsync), which
 // follows the cross-package static call graph.
 func Analyzers() []*Analyzer {
@@ -275,7 +276,6 @@ func Analyzers() []*Analyzer {
 		RNGHygieneAnalyzer,
 		HotAllocAnalyzer,
 		GoroutineFreeAnalyzer,
-		CopyLocksAnalyzer,
 		StreamFlowAnalyzer,
 		CtxPollAnalyzer,
 		StrictSyncAnalyzer,

@@ -8,36 +8,6 @@ import (
 	"github.com/ignorecomply/consensus/internal/rng"
 )
 
-// RunAgents executes a per-node rule (core.NodeRule) on an explicit
-// population of n node states, the direct simulation of the paper's model:
-// every node pulls Samples() uniformly random nodes (with replacement,
-// self included) and applies its update synchronously.
-//
-// This engine is O(n · samples) per round; it exists to validate the O(k)
-// batch laws (core.Rule) against the literal per-node semantics, and to run
-// rules whose batch law the caller does not trust. Slots are never
-// compacted here, so slot indices are stable for the whole run.
-//
-// With an explicit WithParallelism(p > 1) the round is sharded across p
-// worker goroutines that share the single rule instance, so the rule's
-// Update must be safe for concurrent calls (every built-in rule is);
-// without the option this entry point stays sequential. Use a factory
-// Runner for one rule instance per shard and GOMAXPROCS sharding by
-// default.
-//
-// Deprecated: build a Runner with WithEngine(EngineAgents) instead;
-// RunAgents remains as the agents-engine compatibility entry point.
-func RunAgents(rule core.NodeRule, start *config.Config, r *rng.RNG, opts ...Option) (*Result, error) {
-	if rule == nil || start == nil || r == nil {
-		return nil, errors.New("sim: rule, start and rng must be non-nil")
-	}
-	o, err := buildOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	return runAgents(rule, nil, start, r, o)
-}
-
 // agentsState is the engine room of one agents run: the population arrays,
 // the per-round alias table (rebuilt in place — zero steady-state
 // allocations), and, when sharded, the worker pool with per-shard rule

@@ -20,31 +20,6 @@ func WithNetwork(m cluster.Model) Option {
 	return optionFunc(func(o *options) { o.network = m })
 }
 
-// RunCluster executes a per-node rule on the event-driven message-passing
-// engine under the zero-latency lockstep model, stopping at consensus or
-// after maxRounds.
-//
-// Deprecated: build a Runner with WithEngine(EngineCluster) (and
-// optionally WithNetwork) instead; RunCluster remains as the
-// cluster-engine compatibility entry point.
-func RunCluster(factory func() core.NodeRule, start *config.Config, seed uint64, maxRounds int) (*Result, error) {
-	if factory == nil || start == nil {
-		return nil, errors.New("sim: factory and start must be non-nil")
-	}
-	o, err := buildOptions([]Option{WithMaxRounds(maxRounds)})
-	if err != nil {
-		return nil, err
-	}
-	checked := func() (core.NodeRule, error) {
-		rule := factory()
-		if rule == nil {
-			return nil, errors.New("sim: factory returned a nil rule")
-		}
-		return rule, nil
-	}
-	return runCluster(checked, start, rng.New(seed), o)
-}
-
 // runCluster drives a cluster.System through the shared round loop, so the
 // message-passing engine honors the full option set (targets, traces,
 // observers, adversaries, cancellation) like every other engine.

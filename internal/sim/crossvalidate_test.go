@@ -38,12 +38,14 @@ func TestCrossEngineReductionTimesAgree(t *testing.T) {
 
 	var batch, agents []float64
 	for i := 0; i < reps; i++ {
-		rb, err := Run(rules.NewThreeMajority(), start, r, WithTargetColors(target))
+		rb, err := NewRunner(rules.NewThreeMajority(), WithRNG(r), WithTargetColors(target)).
+			Run(context.Background(), start)
 		if err != nil {
 			t.Fatal(err)
 		}
 		batch = append(batch, float64(rb.Rounds))
-		ra, err := RunAgents(rules.NewThreeMajority(), start, r, WithTargetColors(target))
+		ra, err := NewRunner(rules.NewThreeMajority(), WithEngine(EngineAgents), WithRNG(r), WithTargetColors(target)).
+			Run(context.Background(), start)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,14 +103,15 @@ func TestCrossEngineWinnerUniform(t *testing.T) {
 		}
 	}
 	check("batch", func() (int, error) {
-		res, err := Run(rules.NewVoter(), start, r)
+		res, err := NewRunner(rules.NewVoter(), WithRNG(r)).Run(context.Background(), start)
 		if err != nil {
 			return 0, err
 		}
 		return res.WinnerLabel, nil
 	})
 	check("agents", func() (int, error) {
-		res, err := RunAgents(rules.NewVoter(), start, r)
+		res, err := NewRunner(rules.NewVoter(), WithEngine(EngineAgents), WithRNG(r)).
+			Run(context.Background(), start)
 		if err != nil {
 			return 0, err
 		}
@@ -245,7 +248,7 @@ func TestWinnerProportionalToSupport(t *testing.T) {
 	r := rng.New(153)
 	wins := 0
 	for i := 0; i < reps; i++ {
-		res, err := Run(rules.NewVoter(), start, r)
+		res, err := NewRunner(rules.NewVoter(), WithRNG(r)).Run(context.Background(), start)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,37 +55,36 @@ func TestAgentsSequentialGolden(t *testing.T) {
 	for _, tc := range agentsGolden {
 		t.Run(tc.name, func(t *testing.T) {
 			start := config.Balanced(tc.n, tc.k)
-			// Via the deprecated shim, parallelism pinned to 1.
-			res, err := RunAgents(tc.rule().(core.NodeRule), start, rng.New(tc.seed), WithParallelism(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, "shim", res, tc.rounds, tc.winner, tc.counts)
-			// Without options: single-rule entry points must stay
-			// sequential (and therefore bit-exact) on any machine.
-			res, err = RunAgents(tc.rule().(core.NodeRule), start, rng.New(tc.seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, "shim-default", res, tc.rounds, tc.winner, tc.counts)
-			// Via the Runner: identical stream, identical result.
-			res2, err := NewRunner(tc.rule(), WithEngine(EngineAgents), WithParallelism(1), WithSeed(tc.seed)).
+			res, err := NewRunner(tc.rule(), WithEngine(EngineAgents), WithParallelism(1), WithSeed(tc.seed)).
 				Run(context.Background(), start)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkGolden(t, "runner", res2, tc.rounds, tc.winner, tc.counts)
+			checkGolden(t, "runner", res, tc.rounds, tc.winner, tc.counts)
+			// Without WithParallelism a single-rule runner stays
+			// sequential (and therefore bit-exact) on any machine.
+			res, err = NewRunner(tc.rule(), WithEngine(EngineAgents), WithSeed(tc.seed)).
+				Run(context.Background(), start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "runner-default", res, tc.rounds, tc.winner, tc.counts)
 		})
 	}
 }
 
 func TestGraphSequentialGolden(t *testing.T) {
+	// Interleaved placements (i%4, i%3) are not the contiguous blocks
+	// WithGraph colors from, so these pins drive the engine directly.
+	o, err := buildOptions([]Option{WithParallelism(1), WithMaxRounds(500)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ringColors := make([]int, 60)
 	for i := range ringColors {
 		ringColors[i] = i % 4
 	}
-	res, err := RunOnGraph(rules.NewVoter(), graph.NewRing(60), ringColors, rng.New(23),
-		WithParallelism(1), WithMaxRounds(500))
+	res, err := runGraph(rules.NewVoter(), nil, graph.NewRing(60), ringColors, rng.New(23), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +97,7 @@ func TestGraphSequentialGolden(t *testing.T) {
 	for i := range torusColors {
 		torusColors[i] = i % 3
 	}
-	res, err = RunOnGraph(rules.NewThreeMajority(), graph.NewTorus(8, 8), torusColors, rng.New(29),
-		WithParallelism(1), WithMaxRounds(500))
+	res, err = runGraph(rules.NewThreeMajority(), nil, graph.NewTorus(8, 8), torusColors, rng.New(29), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,14 +171,17 @@ func TestShardedFixedSeedFixedPIsBitExact(t *testing.T) {
 // TestParallelismValidation: negative parallelism is rejected; zero means
 // auto and one shard on a one-node population is fine.
 func TestParallelismValidation(t *testing.T) {
-	if _, err := RunAgents(rules.NewVoter(), config.Balanced(10, 2), rng.New(1), WithParallelism(-1)); err == nil {
+	agents := func(p int) *Runner {
+		return NewRunner(rules.NewVoter(), WithEngine(EngineAgents), WithSeed(1), WithParallelism(p))
+	}
+	if _, err := agents(-1).Run(context.Background(), config.Balanced(10, 2)); err == nil {
 		t.Fatal("negative parallelism accepted")
 	}
-	if _, err := RunAgents(rules.NewVoter(), config.Balanced(10, 2), rng.New(1), WithParallelism(0)); err != nil {
+	if _, err := agents(0).Run(context.Background(), config.Balanced(10, 2)); err != nil {
 		t.Fatalf("auto parallelism rejected: %v", err)
 	}
 	// More shards than nodes: capped at n, must still be correct.
-	res, err := RunAgents(rules.NewVoter(), config.Balanced(4, 2), rng.New(1), WithParallelism(64))
+	res, err := agents(64).Run(context.Background(), config.Balanced(4, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

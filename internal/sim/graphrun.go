@@ -10,35 +10,6 @@ import (
 	"github.com/ignorecomply/consensus/internal/rng"
 )
 
-// RunOnGraph executes a per-node rule on an arbitrary interaction graph:
-// each node's samples are uniformly random *neighbors* rather than uniform
-// nodes. On graph.Complete this coincides with RunAgents; on other
-// topologies it runs the general-graph Voter/2-Choices processes the
-// paper's related work studies (e.g. [CEOR13, CER14, BGKMT16]).
-//
-// colors assigns each vertex its initial color (len(colors) == g.N());
-// distinct ints are distinct colors. Slot indices are stable for the whole
-// run (no compaction).
-//
-// With an explicit WithParallelism(p > 1) the round is sharded across p
-// worker goroutines; see RunAgents for the concurrency contract. Graph
-// implementations must then be safe for concurrent reads (all built-in
-// topologies are immutable after construction).
-//
-// Deprecated: build a Runner with WithGraph(g) instead; RunOnGraph remains
-// as the graph-engine compatibility entry point and for explicit per-vertex
-// color placement.
-func RunOnGraph(rule core.NodeRule, g graph.Graph, colors []int, r *rng.RNG, opts ...Option) (*Result, error) {
-	if rule == nil || g == nil || r == nil {
-		return nil, errors.New("sim: rule, graph and rng must be non-nil")
-	}
-	o, err := buildOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	return runGraph(rule, nil, g, colors, r, o)
-}
-
 // graphState mirrors agentsState for the graph engine: the only difference
 // is the sampling step — uniform neighbors on g instead of uniform nodes —
 // so the round snapshot is the previous node-state array itself rather than

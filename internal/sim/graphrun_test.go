@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"github.com/ignorecomply/consensus/internal/config"
@@ -9,14 +11,6 @@ import (
 	"github.com/ignorecomply/consensus/internal/rules"
 	"github.com/ignorecomply/consensus/internal/stats"
 )
-
-func distinctColors(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
 
 // Note the graph choices: synchronous Voter can never fully converge on a
 // *bipartite* graph from distinct colors — the dual coalescing walks flip
@@ -31,8 +25,8 @@ func TestRunOnGraphVoterConsensus(t *testing.T) {
 		"odd-torus": graph.NewTorus(3, 5),
 	} {
 		t.Run(name, func(t *testing.T) {
-			res, err := RunOnGraph(rules.NewVoter(), g, distinctColors(g.N()), r,
-				WithMaxRounds(1_000_000))
+			res, err := NewRunner(rules.NewVoter(), WithGraph(g), WithRNG(r), WithMaxRounds(1_000_000)).
+				Run(context.Background(), config.Singleton(g.N()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,8 +51,8 @@ func TestBipartiteVoterObstruction(t *testing.T) {
 	r := rng.New(175)
 	g := graph.NewRing(n)
 
-	stuck, err := RunOnGraph(rules.NewVoter(), g, distinctColors(n), r,
-		WithMaxRounds(20_000))
+	stuck, err := NewRunner(rules.NewVoter(), WithGraph(g), WithRNG(r), WithMaxRounds(20_000)).
+		Run(context.Background(), config.Singleton(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +63,8 @@ func TestBipartiteVoterObstruction(t *testing.T) {
 		t.Fatalf("expected exactly 2 opinions (one per parity class), got %d", got)
 	}
 
-	lazy, err := RunOnGraph(rules.NewLazyVoter(0.5), g, distinctColors(n), r,
-		WithMaxRounds(1_000_000))
+	lazy, err := NewRunner(rules.NewLazyVoter(0.5), WithGraph(g), WithRNG(r), WithMaxRounds(1_000_000)).
+		Run(context.Background(), config.Singleton(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +73,8 @@ func TestBipartiteVoterObstruction(t *testing.T) {
 	}
 }
 
-// TestRunOnGraphCompleteMatchesAgents: on the complete graph RunOnGraph
-// and RunAgents simulate the same process, so reduction-time means agree.
+// TestRunOnGraphCompleteMatchesAgents: on the complete graph the graph and
+// agents engines simulate the same process, so reduction-time means agree.
 func TestRunOnGraphCompleteMatchesAgents(t *testing.T) {
 	const (
 		n      = 128
@@ -89,20 +83,18 @@ func TestRunOnGraphCompleteMatchesAgents(t *testing.T) {
 	)
 	r := rng.New(172)
 	g := graph.NewComplete(n)
-	colors := distinctColors(n)
+	start := config.Singleton(n)
 	var viaGraph, viaAgents []float64
 	for i := 0; i < reps; i++ {
-		rg, err := RunOnGraph(rules.NewThreeMajority(), g, colors, r, WithTargetColors(target))
+		rg, err := NewRunner(rules.NewThreeMajority(), WithGraph(g), WithRNG(r), WithTargetColors(target)).
+			Run(context.Background(), start)
 		if err != nil {
 			t.Fatal(err)
 		}
 		viaGraph = append(viaGraph, float64(rg.Rounds))
 
-		cfg, err := config.FromNodes(colors)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ra, err := RunAgents(rules.NewThreeMajority(), cfg, r, WithTargetColors(target))
+		ra, err := NewRunner(rules.NewThreeMajority(), WithEngine(EngineAgents), WithRNG(r), WithTargetColors(target)).
+			Run(context.Background(), start)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,8 +118,8 @@ func TestRingSlowerThanComplete(t *testing.T) {
 	mean := func(g graph.Graph) float64 {
 		var times []float64
 		for i := 0; i < reps; i++ {
-			res, err := RunOnGraph(rules.NewVoter(), g, distinctColors(n), r,
-				WithMaxRounds(10_000_000))
+			res, err := NewRunner(rules.NewVoter(), WithGraph(g), WithRNG(r), WithMaxRounds(10_000_000)).
+				Run(context.Background(), config.Singleton(n))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,15 +138,14 @@ func TestRingSlowerThanComplete(t *testing.T) {
 }
 
 func TestRunOnGraphErrors(t *testing.T) {
-	r := rng.New(174)
+	ctx := context.Background()
 	g := graph.NewComplete(4)
-	if _, err := RunOnGraph(nil, g, distinctColors(4), r); err == nil {
-		t.Error("expected error: nil rule")
+	if _, err := NewRunner(nil, WithGraph(g)).Run(ctx, config.Singleton(4)); err == nil ||
+		!strings.Contains(err.Error(), "no rule") {
+		t.Errorf("nil rule: err = %v, want the runner's no-rule error", err)
 	}
-	if _, err := RunOnGraph(rules.NewVoter(), g, distinctColors(3), r); err == nil {
-		t.Error("expected error: color/vertex mismatch")
-	}
-	if _, err := RunOnGraph(rules.NewVoter(), g, distinctColors(4), nil); err == nil {
-		t.Error("expected error: nil rng")
+	if _, err := NewRunner(rules.NewVoter(), WithGraph(g)).Run(ctx, config.Singleton(3)); err == nil ||
+		!strings.Contains(err.Error(), "4 vertices for 3 nodes") {
+		t.Errorf("size mismatch: err = %v, want the graph/start size error", err)
 	}
 }

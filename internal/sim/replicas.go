@@ -1,78 +1,5 @@
 package sim
 
-import (
-	"errors"
-	"fmt"
-	"runtime"
-	"sync"
-
-	"github.com/ignorecomply/consensus/internal/config"
-	"github.com/ignorecomply/consensus/internal/core"
-	"github.com/ignorecomply/consensus/internal/rng"
-)
-
-// RunReplicas executes `replicas` independent runs of the rule produced by
-// factory from the same start configuration, fanning the work out over a
-// bounded worker pool. Replica i runs on a random stream derived
-// deterministically from base and i, so results are reproducible
-// regardless of scheduling. Results are returned in replica order. This
-// entry point drives the batch engine only, so WithParallelism — the
-// per-node engines' intra-round sharding — does not apply here; the
-// Runner's RunReplicas composes both (and defaults each replica's engine
-// to sequential, since the replica pool already saturates the cores).
-//
-// Deprecated: build a Runner with NewFactoryRunner and call its
-// RunReplicas instead; this remains as the compatibility entry point.
-func RunReplicas(factory core.Factory, start *config.Config, base *rng.RNG, replicas, workers int, opts ...Option) ([]*Result, error) {
-	if factory == nil || start == nil || base == nil {
-		return nil, errors.New("sim: factory, start and rng must be non-nil")
-	}
-	if replicas <= 0 {
-		return nil, errors.New("sim: replicas must be positive")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > replicas {
-		workers = replicas
-	}
-
-	// Derive all streams up front on the caller's goroutine: Derive
-	// advances base, so ordering must not depend on scheduling.
-	streams := make([]*rng.RNG, replicas)
-	for i := range streams {
-		streams[i] = base.Derive(uint64(i))
-	}
-
-	results := make([]*Result, replicas)
-	errs := make([]error, replicas)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				res, err := Run(factory(), start, streams[i], opts...)
-				results[i] = res
-				errs[i] = err
-			}
-		}()
-	}
-	for i := 0; i < replicas; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("sim: replica %d: %w", i, err)
-		}
-	}
-	return results, nil
-}
-
 // Rounds extracts the round counts of a replica batch as float64s, the form
 // the stats package consumes.
 func Rounds(results []*Result) []float64 {

@@ -71,7 +71,7 @@ func WithEngine(e Engine) Option {
 
 // WithGraph runs the process on an interaction topology g and implies
 // EngineGraph. Vertices are colored from the start configuration in slot
-// order (contiguous blocks); use RunOnGraph for explicit placement.
+// order (contiguous blocks).
 func WithGraph(g graph.Graph) Option {
 	return optionFunc(func(o *options) { o.graph = g })
 }

@@ -545,25 +545,3 @@ func TestRunnerSeedDeterminism(t *testing.T) {
 		})
 	}
 }
-
-// TestRunnerMatchesLegacyRun: the Runner's batch engine and the deprecated
-// sim.Run produce bit-identical results from the same stream.
-func TestRunnerMatchesLegacyRun(t *testing.T) {
-	start := config.Singleton(300)
-	legacy, err := Run(rules.NewThreeMajority(), start, rng.New(77), WithTrace(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaRunner, err := NewRunner(rules.NewThreeMajority(), WithRNG(rng.New(77)), WithTrace(5)).
-		Run(context.Background(), start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Rounds != viaRunner.Rounds || legacy.WinnerLabel != viaRunner.WinnerLabel {
-		t.Fatalf("legacy %d/%d vs runner %d/%d",
-			legacy.Rounds, legacy.WinnerLabel, viaRunner.Rounds, viaRunner.WinnerLabel)
-	}
-	if len(legacy.Trace) != len(viaRunner.Trace) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(legacy.Trace), len(viaRunner.Trace))
-	}
-}

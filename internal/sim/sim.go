@@ -354,7 +354,7 @@ func (o *options) parallelism(n int) int {
 // runners: without a factory there is one rule instance for all shards, so
 // sharding only happens when the caller asked for it explicitly (keeping a
 // stateful custom rule's Update out of an implicit data race, and keeping
-// legacy single-rule seeded runs bit-identical across machines with
+// single-rule seeded runs bit-identical across machines with
 // different core counts).
 func (o *options) shardCount(n int, factory core.Factory) int {
 	if factory == nil && !o.parallelSet {
@@ -369,22 +369,6 @@ func (o *options) source() *rng.RNG {
 		return o.rng
 	}
 	return rng.New(o.seed)
-}
-
-// Run executes rule on a copy of start until at most the target number of
-// colors remains or the round budget is exhausted.
-//
-// Deprecated: build a Runner instead; Run remains as the batch-engine
-// compatibility entry point.
-func Run(rule core.Rule, start *config.Config, r *rng.RNG, opts ...Option) (*Result, error) {
-	if rule == nil || start == nil || r == nil {
-		return nil, errors.New("sim: rule, start and rng must be non-nil")
-	}
-	o, err := buildOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	return runBatch(rule, start, r, o)
 }
 
 func runBatch(rule core.Rule, start *config.Config, r *rng.RNG, o options) (*Result, error) {

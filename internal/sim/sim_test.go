@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,7 +13,8 @@ import (
 
 func TestRunVoterToConsensus(t *testing.T) {
 	r := rng.New(91)
-	res, err := Run(rules.NewVoter(), config.Balanced(200, 4), r)
+	res, err := NewRunner(rules.NewVoter(), WithRNG(r)).
+		Run(context.Background(), config.Balanced(200, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +31,8 @@ func TestRunVoterToConsensus(t *testing.T) {
 
 func TestRunThreeMajorityFromSingleton(t *testing.T) {
 	r := rng.New(92)
-	res, err := Run(rules.NewThreeMajority(), config.Singleton(500), r)
+	res, err := NewRunner(rules.NewThreeMajority(), WithRNG(r)).
+		Run(context.Background(), config.Singleton(500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +46,8 @@ func TestRunThreeMajorityFromSingleton(t *testing.T) {
 
 func TestRunMaxRoundsBudget(t *testing.T) {
 	r := rng.New(93)
-	res, err := Run(rules.NewTwoChoices(), config.Singleton(400), r, WithMaxRounds(3))
+	res, err := NewRunner(rules.NewTwoChoices(), WithRNG(r), WithMaxRounds(3)).
+		Run(context.Background(), config.Singleton(400))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +61,8 @@ func TestRunMaxRoundsBudget(t *testing.T) {
 
 func TestRunTargetColors(t *testing.T) {
 	r := rng.New(94)
-	res, err := Run(rules.NewVoter(), config.Singleton(300), r, WithTargetColors(10))
+	res, err := NewRunner(rules.NewVoter(), WithRNG(r), WithTargetColors(10)).
+		Run(context.Background(), config.Singleton(300))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +76,8 @@ func TestRunTargetColors(t *testing.T) {
 
 func TestRunColorTimesMonotone(t *testing.T) {
 	r := rng.New(95)
-	res, err := Run(rules.NewVoter(), config.Singleton(400), r,
-		WithColorTimes(100, 50, 10, 1))
+	res, err := NewRunner(rules.NewVoter(), WithRNG(r), WithColorTimes(100, 50, 10, 1)).
+		Run(context.Background(), config.Singleton(400))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +92,8 @@ func TestRunColorTimesMonotone(t *testing.T) {
 
 func TestRunAlreadyConverged(t *testing.T) {
 	r := rng.New(96)
-	res, err := Run(rules.NewVoter(), config.Consensus(50), r)
+	res, err := NewRunner(rules.NewVoter(), WithRNG(r)).
+		Run(context.Background(), config.Consensus(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +104,8 @@ func TestRunAlreadyConverged(t *testing.T) {
 
 func TestRunTrace(t *testing.T) {
 	r := rng.New(97)
-	res, err := Run(rules.NewVoter(), config.Singleton(200), r, WithTrace(5))
+	res, err := NewRunner(rules.NewVoter(), WithRNG(r), WithTrace(5)).
+		Run(context.Background(), config.Singleton(200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +130,10 @@ func TestRunTrace(t *testing.T) {
 func TestRunObserverSeesEveryRound(t *testing.T) {
 	r := rng.New(98)
 	var rounds []int
-	_, err := Run(rules.NewVoter(), config.Balanced(100, 2), r,
+	_, err := NewRunner(rules.NewVoter(), WithRNG(r),
 		WithObserver(func(round int, c *config.Config) {
 			rounds = append(rounds, round)
-		}))
+		})).Run(context.Background(), config.Balanced(100, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +146,8 @@ func TestRunObserverSeesEveryRound(t *testing.T) {
 
 func TestRunCompaction(t *testing.T) {
 	r := rng.New(99)
-	res, err := Run(rules.NewVoter(), config.Singleton(500), r, WithCompactEvery(8))
+	res, err := NewRunner(rules.NewVoter(), WithRNG(r), WithCompactEvery(8)).
+		Run(context.Background(), config.Singleton(500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,24 +160,22 @@ func TestRunCompaction(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	r := rng.New(100)
+	ctx := context.Background()
 	c := config.Balanced(10, 2)
-	if _, err := Run(nil, c, r); err == nil {
+	voter := func(opts ...Option) *Runner { return NewRunner(rules.NewVoter(), opts...) }
+	if _, err := NewRunner(nil).Run(ctx, c); err == nil {
 		t.Error("expected error: nil rule")
 	}
-	if _, err := Run(rules.NewVoter(), nil, r); err == nil {
+	if _, err := voter().Run(ctx, nil); err == nil {
 		t.Error("expected error: nil config")
 	}
-	if _, err := Run(rules.NewVoter(), c, nil); err == nil {
-		t.Error("expected error: nil rng")
-	}
-	if _, err := Run(rules.NewVoter(), c, r, WithMaxRounds(0)); err == nil {
+	if _, err := voter(WithMaxRounds(0)).Run(ctx, c); err == nil {
 		t.Error("expected error: zero budget")
 	}
-	if _, err := Run(rules.NewVoter(), c, r, WithTargetColors(0)); err == nil {
+	if _, err := voter(WithTargetColors(0)).Run(ctx, c); err == nil {
 		t.Error("expected error: zero target")
 	}
-	if _, err := Run(rules.NewVoter(), c, r, WithColorTimes(0)); err == nil {
+	if _, err := voter(WithColorTimes(0)).Run(ctx, c); err == nil {
 		t.Error("expected error: zero kappa")
 	}
 }
@@ -177,7 +183,8 @@ func TestRunErrors(t *testing.T) {
 func TestRunDeterministicGivenSeed(t *testing.T) {
 	run := func() *Result {
 		r := rng.New(4242)
-		res, err := Run(rules.NewThreeMajority(), config.Singleton(300), r, WithTrace(1))
+		res, err := NewRunner(rules.NewThreeMajority(), WithRNG(r), WithTrace(1)).
+			Run(context.Background(), config.Singleton(300))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +208,8 @@ func TestRunDoesNotMutateStart(t *testing.T) {
 	r := rng.New(101)
 	start := config.Balanced(100, 4)
 	before := start.CountsCopy()
-	if _, err := Run(rules.NewVoter(), start, r); err != nil {
+	if _, err := NewRunner(rules.NewVoter(), WithRNG(r)).
+		Run(context.Background(), start); err != nil {
 		t.Fatal(err)
 	}
 	after := start.CountsCopy()
@@ -214,7 +222,8 @@ func TestRunDoesNotMutateStart(t *testing.T) {
 
 func TestRunAgentsVoter(t *testing.T) {
 	r := rng.New(102)
-	res, err := RunAgents(rules.NewVoter(), config.Balanced(100, 4), r)
+	res, err := NewRunner(rules.NewVoter(), WithEngine(EngineAgents), WithRNG(r)).
+		Run(context.Background(), config.Balanced(100, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +235,8 @@ func TestRunAgentsVoter(t *testing.T) {
 func TestRunAgentsTwoChoicesKeepsOwnColor(t *testing.T) {
 	r := rng.New(103)
 	// From a 2-color near-balanced configuration 2-choices converges.
-	res, err := RunAgents(rules.NewTwoChoices(), config.TwoBlock(100, 40), r,
-		WithMaxRounds(100000))
+	res, err := NewRunner(rules.NewTwoChoices(), WithEngine(EngineAgents), WithRNG(r), WithMaxRounds(100000)).
+		Run(context.Background(), config.TwoBlock(100, 40))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,37 +249,15 @@ func TestRunAgentsTwoChoicesKeepsOwnColor(t *testing.T) {
 // exact batch law: one round from the same configuration must produce the
 // same expected counts (binomial-level agreement on means).
 func TestAgentsMatchBatchOneRound(t *testing.T) {
-	type factory struct {
-		name  string
-		batch func() core.Rule
-		node  func() core.NodeRule
-	}
-	factories := []factory{
-		{
-			name:  "voter",
-			batch: func() core.Rule { return rules.NewVoter() },
-			node:  func() core.NodeRule { return rules.NewVoter() },
-		},
-		{
-			name:  "2-choices",
-			batch: func() core.Rule { return rules.NewTwoChoices() },
-			node:  func() core.NodeRule { return rules.NewTwoChoices() },
-		},
-		{
-			name:  "3-majority",
-			batch: func() core.Rule { return rules.NewThreeMajority() },
-			node:  func() core.NodeRule { return rules.NewThreeMajority() },
-		},
-		{
-			name:  "4-majority",
-			batch: func() core.Rule { return rules.NewHMajority(4) },
-			node:  func() core.NodeRule { return rules.NewHMajority(4) },
-		},
-		{
-			name:  "2-median",
-			batch: func() core.Rule { return rules.NewTwoMedian() },
-			node:  func() core.NodeRule { return rules.NewTwoMedian() },
-		},
+	factories := []struct {
+		name string
+		rule func() core.Rule
+	}{
+		{"voter", func() core.Rule { return rules.NewVoter() }},
+		{"2-choices", func() core.Rule { return rules.NewTwoChoices() }},
+		{"3-majority", func() core.Rule { return rules.NewThreeMajority() }},
+		{"4-majority", func() core.Rule { return rules.NewHMajority(4) }},
+		{"2-median", func() core.Rule { return rules.NewTwoMedian() }},
 	}
 	start := config.Zipf(300, 4, 0.9)
 	const reps = 1200
@@ -281,11 +268,12 @@ func TestAgentsMatchBatchOneRound(t *testing.T) {
 			agentMeans := make([]float64, start.Slots())
 			for rep := 0; rep < reps; rep++ {
 				cb := start.Clone()
-				f.batch().Step(cb, r)
+				f.rule().Step(cb, r)
 				for s := 0; s < cb.Slots(); s++ {
 					batchMeans[s] += float64(cb.Count(s))
 				}
-				ra, err := RunAgents(f.node(), start, r, WithMaxRounds(1), WithTargetColors(1))
+				ra, err := NewRunner(f.rule(), WithEngine(EngineAgents), WithRNG(r), WithMaxRounds(1), WithTargetColors(1)).
+					Run(context.Background(), start)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -306,10 +294,8 @@ func TestAgentsMatchBatchOneRound(t *testing.T) {
 }
 
 func TestRunReplicas(t *testing.T) {
-	base := rng.New(105)
-	results, err := RunReplicas(
-		func() core.Rule { return rules.NewThreeMajority() },
-		config.Singleton(200), base, 16, 4)
+	results, err := NewFactoryRunner(func() core.Rule { return rules.NewThreeMajority() },
+		WithRNG(rng.New(105))).RunReplicas(context.Background(), config.Singleton(200), 16, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,10 +320,8 @@ func TestRunReplicas(t *testing.T) {
 
 func TestRunReplicasDeterministic(t *testing.T) {
 	run := func() []float64 {
-		base := rng.New(106)
-		results, err := RunReplicas(
-			func() core.Rule { return rules.NewVoter() },
-			config.Singleton(100), base, 8, 3)
+		results, err := NewFactoryRunner(func() core.Rule { return rules.NewVoter() },
+			WithRNG(rng.New(106))).RunReplicas(context.Background(), config.Singleton(100), 8, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,17 +336,17 @@ func TestRunReplicasDeterministic(t *testing.T) {
 }
 
 func TestRunReplicasErrors(t *testing.T) {
-	base := rng.New(107)
+	ctx := context.Background()
 	c := config.Balanced(10, 2)
 	factory := func() core.Rule { return rules.NewVoter() }
-	if _, err := RunReplicas(nil, c, base, 2, 1); err == nil {
+	if _, err := NewFactoryRunner(nil).RunReplicas(ctx, c, 2, 1); err == nil {
 		t.Error("expected error: nil factory")
 	}
-	if _, err := RunReplicas(factory, c, base, 0, 1); err == nil {
+	if _, err := NewFactoryRunner(factory).RunReplicas(ctx, c, 0, 1); err == nil {
 		t.Error("expected error: zero replicas")
 	}
-	if _, err := RunReplicas(factory, c, base, 2, 1, WithMaxRounds(-1)); err == nil {
-		t.Error("expected error propagated from Run")
+	if _, err := NewFactoryRunner(factory, WithMaxRounds(-1)).RunReplicas(ctx, c, 2, 1); err == nil {
+		t.Error("expected error: invalid option")
 	}
 }
 
@@ -385,8 +369,8 @@ func TestUndecidedRunBudgeted(t *testing.T) {
 	r := rng.New(108)
 	// The undecided slot participates in Remaining, so target 1 means all
 	// nodes decided on one color with no undecided nodes left.
-	res, err := Run(rules.NewUndecided(), config.Balanced(300, 3), r,
-		WithMaxRounds(100000))
+	res, err := NewRunner(rules.NewUndecided(), WithRNG(r), WithMaxRounds(100000)).
+		Run(context.Background(), config.Balanced(300, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
