@@ -9,7 +9,9 @@ package consensus_test
 //	go test -bench=. -benchmem
 //
 // Each experiment benchmark executes the full quick-scale experiment per
-// iteration and reports rows produced; EXPERIMENTS.md records the tables.
+// iteration and reports rows produced. The experiments are declared in
+// scenarios/*.json; `consensus-sim -scenario E<i> -scale full` prints a
+// full-scale table.
 
 import (
 	"context"

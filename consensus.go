@@ -260,8 +260,6 @@ var (
 	WithObserver = sim.WithObserver
 	// WithStopWhen stops on an arbitrary predicate.
 	WithStopWhen = sim.WithStopWhen
-	// WithCompactEvery tunes extinct-slot compaction.
-	WithCompactEvery = sim.WithCompactEvery
 	// WithEngine selects the execution backend (default EngineBatch).
 	WithEngine = sim.WithEngine
 	// WithParallelism shards the per-node engines (agents, graph) across
@@ -345,6 +343,7 @@ func ExperimentByID(id string) (Experiment, bool) { return expt.ByID(id) }
 const (
 	// QuickScale keeps the full suite in CI-sized time.
 	QuickScale = scenario.Quick
-	// FullScale is the scale EXPERIMENTS.md reports.
+	// FullScale is the budget of the reproduction tables: each
+	// scenarios/*.json at `consensus-sim -scenario E<i> -scale full`.
 	FullScale = scenario.Full
 )

@@ -138,6 +138,8 @@ func (c *Config) LabelsCopy() []int {
 
 // Remaining returns the number of colors with positive support (the k the
 // paper's T^κ reduction times count).
+//
+//consensus:hotpath
 func (c *Config) Remaining() int {
 	k := 0
 	for _, v := range c.counts {
@@ -230,7 +232,10 @@ func (c *Config) Entropy() float64 {
 
 // Compact removes extinct color slots in place, preserving the relative
 // order of the surviving slots (and therefore any ordering semantics the
-// labels carry, e.g. for 2-Median).
+// labels carry, e.g. for 2-Median). The batch and hybrid engines call it
+// after every round in which a color died.
+//
+//consensus:hotpath
 func (c *Config) Compact() {
 	w := 0
 	for s, v := range c.counts {

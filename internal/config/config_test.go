@@ -155,6 +155,26 @@ func TestCompact(t *testing.T) {
 	}
 }
 
+// TestCompactRemainingZeroAllocs: the run loop calls Remaining and
+// Compact after every batch round, so neither may allocate.
+func TestCompactRemainingZeroAllocs(t *testing.T) {
+	counts := make([]int, 64)
+	for s := range counts {
+		counts[s] = s % 3
+	}
+	c, _ := New(counts)
+	sink := 0
+	if avg := testing.AllocsPerRun(100, func() {
+		sink += c.Remaining()
+		c.Compact()
+	}); avg != 0 {
+		t.Errorf("Remaining and Compact allocate %.2f times, want 0", avg)
+	}
+	if sink == 0 || c.Slots() != c.Remaining() {
+		t.Fatalf("Compact left %d slots for %d colors", c.Slots(), c.Remaining())
+	}
+}
+
 func TestNodesRoundTrip(t *testing.T) {
 	c, _ := New([]int{2, 0, 3})
 	nodes := c.Nodes()

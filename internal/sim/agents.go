@@ -244,8 +244,6 @@ func (st *agentsState) close() {
 }
 
 func runAgents(rule core.NodeRule, factory core.Factory, start *config.Config, r *rng.RNG, o options) (*Result, error) {
-	o.compactEvery = 0 // node states refer to slot indices; never renumber
-
 	st, err := newAgentsState(rule, factory, start, r, o)
 	if err != nil {
 		return nil, err

@@ -27,8 +27,6 @@ func runCluster(factory func() (core.NodeRule, error), start *config.Config, r *
 	if o.behaviors != nil {
 		return nil, errors.New("sim: node behaviors need the agents engine")
 	}
-	o.compactEvery = 0 // node states refer to slot indices; never renumber
-
 	sys, err := cluster.NewSystem(factory, start, r, cluster.Options{
 		Model:   o.network,
 		Workers: o.parallelism(start.N()),

@@ -149,8 +149,6 @@ func runGraph(rule core.NodeRule, factory core.Factory, g graph.Graph, colors []
 	if err != nil {
 		return nil, fmt.Errorf("sim: invalid colors: %w", err)
 	}
-	o.compactEvery = 0 // node states refer to slot indices
-
 	// Map vertex -> slot using the first-appearance order of FromNodes.
 	slotOf := make(map[int]int, c.Slots())
 	for s := 0; s < c.Slots(); s++ {

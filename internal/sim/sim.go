@@ -98,7 +98,6 @@ type options struct {
 	targetColors int
 	colorTimes   []int
 	traceEvery   int
-	compactEvery int
 	observer     func(round int, c *config.Config)
 	stopWhen     func(round int, c *config.Config) bool
 
@@ -159,17 +158,10 @@ func WithTrace(every int) Option {
 	return optionFunc(func(o *options) { o.traceEvery = every })
 }
 
-// WithCompactEvery controls how often extinct color slots are dropped
-// (default every 32 rounds when more than half the slots are extinct; 0
-// disables compaction). Compaction renumbers slots; observers must use
-// labels, not slot indices, across rounds. Only the batch engine compacts:
-// the per-node engines and adversarial runs need stable slot indices.
-func WithCompactEvery(every int) Option {
-	return optionFunc(func(o *options) { o.compactEvery = every })
-}
-
 // WithObserver invokes fn after every round with the current round number
-// and configuration (a live view: do not mutate or retain).
+// and configuration (a live view: do not mutate or retain). The batch and
+// hybrid engines drop extinct slots after each round, so slot indices may
+// shift between calls: follow colors by label, not by slot.
 func WithObserver(fn func(round int, c *config.Config)) Option {
 	return optionFunc(func(o *options) { o.observer = fn })
 }
@@ -256,7 +248,6 @@ func buildOptions(opts []Option) (options, error) {
 		ctx:          context.Background(),
 		maxRounds:    10_000_000,
 		targetColors: 1,
-		compactEvery: 32,
 		seed:         1,
 	}
 	for _, opt := range opts {
@@ -283,10 +274,6 @@ func buildOptions(opts []Option) (options, error) {
 		if o.window < 1 {
 			return o, errors.New("sim: adversary window must be >= 1")
 		}
-		// The InjectInvalid adversary caches the slot index of its
-		// injected color; compaction renumbers slots, so adversarial
-		// runs never compact.
-		o.compactEvery = 0
 	}
 	if o.rng != nil && o.seedSet {
 		return o, errors.New("sim: WithRNG and WithSeed are mutually exclusive")
@@ -396,6 +383,15 @@ func runBatch(rule core.Rule, start *config.Config, r *rng.RNG, o options) (*Res
 // reflected onto concrete node states; nil means the engine is purely
 // aggregate.
 //
+// Compaction: an aggregate engine (batch, hybrid) drops extinct slots
+// after the bookkeeping of every round in which a color died, so each
+// round costs O(live) rather than O(initial colors). Compact keeps the
+// surviving slots in order and every sampler visits only live slots in
+// slot order, so the draws are those of the uncompacted table. Per-node
+// engines hold slot indices in their node states, and adversaries act on
+// extinct slots too (ReviveWeakest revives them, InjectInvalid keeps its
+// injected slot through extinctions), so those runs never renumber slots.
+//
 // Cancellation: a context cancelled before the first round returns
 // (nil, err); a context cancelled mid-run returns the partial Result for
 // the rounds completed so far together with the error, so callers keep
@@ -432,10 +428,12 @@ func runLoop(c *config.Config, r *rng.RNG, o options, step func(round int) int, 
 	}
 	streakLabel := 0
 	streak := 0
+	compact := nodes == nil && o.adv == nil
+	k := 0 // live colors at the last recorded round
 
 	record := func(round int) bool {
 		cfg := current()
-		k := cfg.Remaining()
+		k = cfg.Remaining()
 		for _, kappa := range o.colorTimes {
 			if _, done := res.ColorTimes[kappa]; !done && k <= kappa {
 				res.ColorTimes[kappa] = round
@@ -499,6 +497,10 @@ func runLoop(c *config.Config, r *rng.RNG, o options, step func(round int) int, 
 			finish(res, current(), round-1, o, valid)
 			return res, err
 		}
+		if compact && k < current().Slots() {
+			// Drop the slots that died by the last recorded round.
+			current().Compact()
+		}
 		if stride := step(round); stride > 1 {
 			// step certified and executed rounds round..round+stride-1
 			// (never past the round budget); observe at the last one.
@@ -511,12 +513,6 @@ func runLoop(c *config.Config, r *rng.RNG, o options, step func(round int) int, 
 			res.Converged = true
 			finish(res, current(), round, o, valid)
 			return res, nil
-		}
-		if o.compactEvery > 0 && round%o.compactEvery == 0 {
-			cfg := current()
-			if cfg.Remaining()*2 < cfg.Slots() {
-				cfg.Compact()
-			}
 		}
 	}
 	finish(res, current(), o.maxRounds, o, valid)

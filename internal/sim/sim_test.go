@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/ignorecomply/consensus/internal/adversary"
 	"github.com/ignorecomply/consensus/internal/config"
 	"github.com/ignorecomply/consensus/internal/core"
 	"github.com/ignorecomply/consensus/internal/rng"
@@ -144,19 +145,70 @@ func TestRunObserverSeesEveryRound(t *testing.T) {
 	}
 }
 
+// TestRunCompaction pins the batch round's cost by counting its work: a
+// batch run drops every slot that died in a round before the next round
+// starts, so the slots a round scans at round t are exactly the colors
+// alive at round t−1. An adversarial run keeps every slot where it is:
+// adversaries act on extinct slots too.
 func TestRunCompaction(t *testing.T) {
-	r := rng.New(99)
-	res, err := NewRunner(rules.NewVoter(), WithRNG(r), WithCompactEvery(8)).
-		Run(context.Background(), config.Singleton(500))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		rule  core.Rule
+		start *config.Config
+	}{
+		{"voter", rules.NewVoter(), config.Singleton(500)},
+		{"3-majority", rules.NewThreeMajority(), config.Singleton(4096)},
 	}
-	if !res.Converged {
-		t.Fatal("did not converge")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			prevLive := tc.start.Remaining()
+			res, err := NewRunner(tc.rule, WithSeed(99),
+				WithObserver(func(round int, c *config.Config) {
+					if round > 0 && c.Slots() != prevLive {
+						t.Fatalf("round %d scans %d slots, but %d colors were alive after round %d",
+							round, c.Slots(), prevLive, round-1)
+					}
+					prevLive = c.Remaining()
+				})).Run(context.Background(), tc.start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged {
+				t.Fatal("did not converge")
+			}
+		})
 	}
-	if res.Final.Slots() > 250 {
-		t.Fatalf("compaction did not shrink slots: %d", res.Final.Slots())
-	}
+
+	t.Run("inject-invalid", func(t *testing.T) {
+		start := config.Singleton(300)
+		var labels []int
+		res, err := NewRunner(rules.NewVoter(), WithSeed(99), WithMaxRounds(400),
+			WithAdversary(&adversary.InjectInvalid{F: 2}, 0.05, 10),
+			WithObserver(func(round int, c *config.Config) {
+				if c.Slots() < len(labels) {
+					t.Fatalf("round %d: %d slots, had %d", round, c.Slots(), len(labels))
+				}
+				for s, l := range labels {
+					if c.Label(s) != l {
+						t.Fatalf("round %d: slot %d relabeled %d -> %d", round, s, l, c.Label(s))
+					}
+				}
+				for s := len(labels); s < c.Slots(); s++ {
+					labels = append(labels, c.Label(s))
+				}
+			})).Run(context.Background(), start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Final.Slots() != start.Slots()+1 {
+			t.Fatalf("final slots %d, want the %d initial ones plus the injected color",
+				res.Final.Slots(), start.Slots())
+		}
+		if res.Final.Remaining() >= start.Slots()/2 {
+			t.Fatalf("%d of %d colors still alive: the run never exercised extinct slots",
+				res.Final.Remaining(), start.Slots())
+		}
+	})
 }
 
 func TestRunErrors(t *testing.T) {

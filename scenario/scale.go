@@ -7,7 +7,8 @@ import "fmt"
 type Scale int
 
 // Experiment budgets. Quick keeps the full suite in CI-sized time; Full is
-// the scale EXPERIMENTS.md reports.
+// the reproduction scale, run per scenario (scenarios/*.json) with
+// `consensus-sim -scenario E<i> -scale full`.
 const (
 	Quick Scale = iota + 1
 	Full
