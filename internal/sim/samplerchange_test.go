@@ -54,8 +54,9 @@ type equivFixture struct {
 
 // equivSuiteDefs enumerates the recorded workloads: every engine whose draw
 // stream the samplers feed, with and without the §5 adversary, plus the
-// h-Majority rule on both the batch law and the per-node engine, and the
-// batch Voter, 3-Majority and 2-Choices laws from the singleton start.
+// h-Majority rule on both the batch law and the per-node engine, the
+// batch Voter, 3-Majority and 2-Choices laws from the singleton start, and
+// the batch binomial's two BTRS regimes: means of 10–30 and n = 10⁸.
 var equivSuiteDefs = []struct {
 	name string
 	k    int
@@ -153,6 +154,26 @@ var equivSuiteDefs = []struct {
 			return NewRunner(rules.NewVoter(),
 				WithEngine(EngineBatch), WithSeed(51_000+uint64(rep))).
 				Run(context.Background(), config.Singleton(256))
+		},
+	},
+	// Per-color binomial means between 10 and 30 (1600 trials over 80
+	// colors), where Binomial switches from CDF inversion to BTRS.
+	{
+		name: "batch/voter/mid-mean", k: 80, reps: 100,
+		run: func(rep int) (*Result, error) {
+			return NewRunner(rules.NewVoter(),
+				WithEngine(EngineBatch), WithSeed(52_000+uint64(rep))).
+				Run(context.Background(), config.Balanced(1600, 80))
+		},
+	},
+	// n = 10⁸ over 8 colors: means near 10⁷, where about one BTRS draw in
+	// five misses the squeeze and takes the full acceptance test.
+	{
+		name: "batch/3-majority/biased-1e8", k: 8, reps: 100,
+		run: func(rep int) (*Result, error) {
+			return NewRunner(rules.NewThreeMajority(),
+				WithEngine(EngineBatch), WithSeed(53_000+uint64(rep))).
+				Run(context.Background(), config.Biased(100_000_000, 8, 10_000))
 		},
 	},
 	{
