@@ -3,16 +3,19 @@ package rng
 import "testing"
 
 // TestBinomialZeroAllocs: both sampling regimes — binomialInversion for
-// means below the cutoff and binomialBTRS above it — are allocation-free
-// on every call.
+// means below the cutoff and binomialBTRS from it up, whose full
+// acceptance test calls btrsLogRatio and stirlingTail — are
+// allocation-free on every call.
 func TestBinomialZeroAllocs(t *testing.T) {
 	cases := []struct {
 		name string
 		n    int
 		p    float64
 	}{
-		{"inversion", 1000, 0.01}, // np = 10 < cutoff: binomialInversion
-		{"btrs", 100_000, 0.3},    // np = 30000: binomialBTRS
+		{"inversion", 1000, 0.005},         // np = 5 < cutoff: binomialInversion
+		{"btrs/floor", 1000, 0.01},         // np = 10: binomialBTRS at its floor
+		{"btrs", 100_000, 0.3},             // np = 30000
+		{"btrs/n=1e9", 1_000_000_000, 0.3}, // table-free Stirling tails
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -25,6 +28,20 @@ func TestBinomialZeroAllocs(t *testing.T) {
 			_ = sink
 		})
 	}
+}
+
+// TestBTRSAcceptanceHelpersZeroAllocs: the acceptance test's log-ratio
+// and Stirling tails allocate nothing, from the table and from the series.
+func TestBTRSAcceptanceHelpersZeroAllocs(t *testing.T) {
+	sink := 0.0
+	avg := testing.AllocsPerRun(100, func() {
+		sink += btrsLogRatio(3, 10, 1000, 0.01, 0.99, stirlingTail(10)+stirlingTail(990))
+		sink += stirlingTail(4) + stirlingTail(1e9)
+	})
+	if avg != 0 {
+		t.Errorf("btrsLogRatio and stirlingTail allocate %.2f times, want 0", avg)
+	}
+	_ = sink
 }
 
 // TestAliasResetZeroSteadyStateAllocs: Reset and ResetCounts rebuild the
@@ -45,7 +62,9 @@ func TestAliasResetZeroSteadyStateAllocs(t *testing.T) {
 // TestMultinomialZeroSteadyStateAllocs: both regimes allocate nothing once
 // the pooled scratch of multinomialTally covers the support — n = k = 1024
 // draws trial by trial, n = 10⁶ by conditional binomials. A fifth of the
-// slots have probability zero.
+// slots have probability zero. Under -race, where sync.Pool drops the
+// scratch at random, the draws run but their allocation count is not
+// checked.
 func TestMultinomialZeroSteadyStateAllocs(t *testing.T) {
 	probs := make([]float64, 1024)
 	for i := range probs {
@@ -55,7 +74,7 @@ func TestMultinomialZeroSteadyStateAllocs(t *testing.T) {
 	for _, n := range []int{1024, 1_000_000} {
 		r := New(52)
 		r.Multinomial(n, probs, out)
-		if avg := testing.AllocsPerRun(100, func() { r.Multinomial(n, probs, out) }); avg != 0 {
+		if avg := testing.AllocsPerRun(100, func() { r.Multinomial(n, probs, out) }); avg != 0 && !raceEnabled {
 			t.Errorf("Multinomial(%d, k=%d) allocates %.2f times, want 0", n, len(probs), avg)
 		}
 	}

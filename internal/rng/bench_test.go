@@ -6,19 +6,25 @@ import (
 )
 
 // BenchmarkBinomial contrasts the two sampler regimes: CDF inversion for
-// small means and BTRS transformed rejection for large ones (the design
-// choice that makes batch rounds O(k) regardless of n).
+// means below 10 and BTRS transformed rejection from 10 up (the design
+// choice that makes batch rounds O(k) regardless of n). np = 10, 15, 25
+// and 29 are the means 3-Majority's middle game draws from the singleton
+// start; n = 10⁹ is the biased regime's largest cell.
 func BenchmarkBinomial(b *testing.B) {
 	cases := []struct {
 		name string
 		n    int
 		p    float64
 	}{
-		{name: "inversion/np=5", n: 1000, p: 0.005},
-		{name: "inversion/np=25", n: 1000, p: 0.025},
-		{name: "btrs/np=100", n: 1000, p: 0.1},
-		{name: "btrs/np=100,n=1e5", n: 100_000, p: 0.001},
-		{name: "btrs/np=1e6", n: 10_000_000, p: 0.1},
+		{name: "np=5", n: 1000, p: 0.005},
+		{name: "np=10", n: 1000, p: 0.01},
+		{name: "np=15", n: 1000, p: 0.015},
+		{name: "np=25", n: 1000, p: 0.025},
+		{name: "np=29", n: 1000, p: 0.029},
+		{name: "np=100", n: 1000, p: 0.1},
+		{name: "np=100,n=1e5", n: 100_000, p: 0.001},
+		{name: "np=1e6", n: 10_000_000, p: 0.1},
+		{name: "n=1e9,p=0.3", n: 1_000_000_000, p: 0.3},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {

@@ -73,6 +73,12 @@ func multinomialPMF(x []int, probs []float64) float64 {
 	return math.Exp(lp)
 }
 
+// lgamma is math.Lgamma without the sign result (all arguments are >= 1).
+func lgamma(x float64) float64 {
+	v, _ := math.Lgamma(x)
+	return v
+}
+
 // binomialPMF is P(Bin(n, p) = x).
 func binomialPMF(x, n int, p float64) float64 {
 	lc := lgamma(float64(n)+1) - lgamma(float64(x)+1) - lgamma(float64(n-x)+1)

@@ -21,6 +21,10 @@ func FuzzBinomial(f *testing.F) {
 	f.Add(uint64(5), 100000, 0.25) // BTRS branch
 	f.Add(uint64(6), 7, 1.0)
 	f.Add(uint64(7), 12, 0.0)
+	f.Add(uint64(8), 999, 0.01)       // np = 9.99: inversion, just below the cutoff
+	f.Add(uint64(9), 1000, 0.01)      // np = 10: BTRS at its floor
+	f.Add(uint64(10), 1001, 0.01)     // np = 10.01
+	f.Add(uint64(11), 1_000_000, 0.5) // the largest n in range, p = 1/2
 	f.Fuzz(func(t *testing.T, seed uint64, n int, p float64) {
 		if n < 0 || n > 1_000_000 {
 			t.Skip("n out of the supported range")

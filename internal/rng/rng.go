@@ -106,15 +106,18 @@ func (r *RNG) Bernoulli(p float64) bool {
 }
 
 // The mean below which Binomial uses exact CDF inversion rather than the
-// BTRS rejection sampler. BTRS requires np >= 10 for its constants to be
-// valid; 30 keeps inversion's expected loop count small.
-const _inversionMeanCutoff = 30.0
+// BTRS rejection sampler: BTRS's own validity floor, since its constants
+// are fitted for np >= 10. At np = 10–30 BTRS is the cheaper of the two
+// (one squeeze test for most draws against inversion's Exp, Log and
+// O(np) walk).
+const _inversionMeanCutoff = 10.0
 
 // Binomial returns an exact sample from Binomial(n, p): the number of
 // successes in n independent trials with success probability p.
 //
-// Small means use CDF inversion; larger means use Hörmann's BTRS transformed
-// rejection sampler, so the cost is O(1) expected regardless of n.
+// Means below 10 use CDF inversion; larger means use Hörmann's BTRS
+// transformed rejection sampler, so the cost is O(1) expected regardless
+// of n.
 //
 //consensus:hotpath
 func (r *RNG) Binomial(n int, p float64) int {
@@ -141,7 +144,7 @@ func (r *RNG) Binomial(n int, p float64) int {
 func (r *RNG) binomialInversion(n int, p float64) int {
 	q := 1 - p
 	// f = P(X = 0) = q^n, computed in log space to avoid underflow for
-	// large n (np < 30 guarantees q^n >= ~e^-30-ish, comfortably positive).
+	// large n (p <= 1/2 and np < 10 give q^n >= e^(-2np) > e^-20).
 	f := math.Exp(float64(n) * math.Log(q))
 	u := r.src.Float64()
 	ratio := p / q
@@ -156,7 +159,10 @@ func (r *RNG) binomialInversion(n int, p float64) int {
 
 // binomialBTRS samples Binomial(n, p) for p <= 1/2 and np >= 10 using the
 // BTRS transformed-rejection algorithm of Hörmann (1993), "The generation of
-// binomial random variates". Expected number of iterations is ~1.15.
+// binomial random variates". Expected number of iterations is ~1.15. A
+// draw that misses the squeeze is accepted against the pmf ratio in
+// Stirling-tail form (btrsLogRatio): a few Log1p calls, no lgamma, and
+// precise to 1e-10 up to n = 10⁹.
 //
 //consensus:hotpath
 func (r *RNG) binomialBTRS(n int, p float64) int {
@@ -168,11 +174,10 @@ func (r *RNG) binomialBTRS(n int, p float64) int {
 		a   = -0.0873 + 0.0248*b + 0.01*p
 		c   = fn*p + 0.5
 		vr  = 0.92 - 4.2/b
-		// The full acceptance test's constants (two lgamma calls and a
-		// Log) are needed only once a draw misses the squeeze, which most
-		// calls never do; set on first use.
-		haveConsts       bool
-		alpha, lpq, m, h float64
+		// The full acceptance test's constants are needed only once a draw
+		// misses the squeeze, which most calls never do; set on first use.
+		haveConsts      bool
+		alpha, m, tailM float64
 	)
 	for {
 		u := r.src.Float64() - 0.5
@@ -186,20 +191,70 @@ func (r *RNG) binomialBTRS(n int, p float64) int {
 		if us >= 0.07 && v <= vr {
 			return int(kf)
 		}
-		// Full acceptance test against the exact log-pmf ratio.
+		// Full acceptance test against the pmf ratio f(k)/f(m), m the mode.
 		if !haveConsts {
 			alpha = (2.83 + 5.1/b) * spq
-			lpq = math.Log(p / q)
 			m = math.Floor((fn + 1) * p)
-			h = lgamma(m+1) + lgamma(fn-m+1)
+			tailM = stirlingTail(m) + stirlingTail(fn-m)
 			haveConsts = true
 		}
 		lhs := math.Log(v * alpha / (a/(us*us) + b))
-		rhs := h - lgamma(kf+1) - lgamma(fn-kf+1) + (kf-m)*lpq
-		if lhs <= rhs {
+		if lhs <= btrsLogRatio(kf, m, fn, p, q, tailM) {
 			return int(kf)
 		}
 	}
+}
+
+// btrsLogRatio returns log(f(k)/f(m)) for the Binomial(n, p) pmf f, with
+// q = 1−p and tailM = stirlingTail(m) + stirlingTail(n−m). It is Stirling's
+// formula log j! = (j+½)·log(j+1) − (j+1) + ½·log 2π + stirlingTail(j)
+// applied to the four factorials of the ratio, with the terms grouped
+// around d = k−m (Hörmann 1993):
+//
+//	d·log(p(n−k+1)/(q(k+1))) + (m+½)·log((m+1)(n−k+1)/((k+1)(n−m+1)))
+//	  + (n+1)·log((n−m+1)/(n−k+1)) + tails.
+//
+// Each log is taken as Log1p of its ratio minus 1, and each product is of
+// size |d|, so no two terms of size n·log n cancel. Its error against the
+// exact ratio is below 1e-10 up to n = 10⁹ (TestBTRSLogRatioPrecision).
+//
+//consensus:hotpath
+func btrsLogRatio(k, m, n, p, q, tailM float64) float64 {
+	d := k - m
+	return d*math.Log1p(math.FMA(p, n-k+1, -q*(k+1))/(q*(k+1))) +
+		(m+0.5)*math.Log1p(-d*(n+2)/((k+1)*(n-m+1))) +
+		(n+1)*math.Log1p(d/(n-k+1)) +
+		tailM - stirlingTail(k) - stirlingTail(n-k)
+}
+
+// stirlingTails holds stirlingTail(k) for k = 0..9, rounded from 256-bit
+// values (TestStirlingTailTable).
+var stirlingTails = [10]float64{
+	0.08106146679532726,
+	0.0413406959554093,
+	0.02767792568499834,
+	0.020790672103765093,
+	0.016644691189821193,
+	0.013876128823070748,
+	0.01189670994589177,
+	0.010411265261972096,
+	0.009255462182712733,
+	0.00833056343336287,
+}
+
+// stirlingTail returns the error of Stirling's formula at the integer
+// k >= 0, log k! − [(k+½)·log(k+1) − (k+1) + ½·log 2π]: from the table for
+// k <= 9, else the first three terms of its asymptotic series in 1/(k+1),
+// whose truncation error 1/(1680·(k+1)⁷) is at most 3.1e-11.
+//
+//consensus:hotpath
+func stirlingTail(k float64) float64 {
+	if k < float64(len(stirlingTails)) {
+		return stirlingTails[int(k)]
+	}
+	r := 1 / (k + 1)
+	r2 := r * r
+	return (1.0/12 - (1.0/360-r2*(1.0/1260))*r2) * r
 }
 
 // Multinomial draws an exact sample from Mult(n, probs) into out, which must
@@ -418,12 +473,6 @@ func (r *RNG) Geometric(p float64) int {
 		panic("rng: Geometric requires p in (0, 1]")
 	}
 	return r.skipGap(math.Log1p(-p), math.MaxInt)
-}
-
-// lgamma is math.Lgamma without the sign result (all our arguments are >= 1).
-func lgamma(x float64) float64 {
-	v, _ := math.Lgamma(x)
-	return v
 }
 
 // splitMix64 is the SplitMix64 finalizer, used for seed derivation.

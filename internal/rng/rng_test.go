@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"github.com/ignorecomply/consensus/internal/stats"
 )
 
 func TestNewDeterminism(t *testing.T) {
@@ -123,8 +125,8 @@ func binomialMoments(t *testing.T, r *RNG, n int, p float64, draws int) {
 
 func TestBinomialMomentsInversion(t *testing.T) {
 	r := New(6)
-	binomialMoments(t, r, 20, 0.3, 40000)    // np = 6
-	binomialMoments(t, r, 1000, 0.01, 40000) // np = 10 < cutoff
+	binomialMoments(t, r, 20, 0.3, 40000)      // np = 6
+	binomialMoments(t, r, 1000, 0.0099, 40000) // np = 9.9 < cutoff
 	binomialMoments(t, r, 7, 0.5, 40000)
 }
 
@@ -136,47 +138,48 @@ func TestBinomialMomentsBTRS(t *testing.T) {
 	binomialMoments(t, r, 10000, 0.9, 40000) // exercises the symmetry branch
 }
 
-// TestBinomialChiSquare compares the sampler against the exact pmf for a
-// small case spanning both code paths, using a chi-square statistic.
+// TestBinomialChiSquare tests Binomial's draws against the exact pmf by
+// chi-square goodness of fit at stats.DefaultEquivalenceAlpha, in every
+// regime: inversion below np = 10, BTRS at its floor np = 10 and at the
+// middle-game means 10–30, p = 1/2, the p > 1/2 mirror, n = 10⁵ with a
+// small p, and a large mean. At np = 10 over half the draws take the full
+// acceptance test, so an error of 1e-3 in a Stirling tail shows there; the
+// four million draws see one of 1/(12·11).
 func TestBinomialChiSquare(t *testing.T) {
 	tests := []struct {
-		name string
-		n    int
-		p    float64
+		name  string
+		n     int
+		p     float64
+		draws int
 	}{
-		{name: "inversion", n: 12, p: 0.4},
-		{name: "btrs", n: 200, p: 0.3},
+		{name: "inversion/np=4.8", n: 12, p: 0.4, draws: 1_000_000},
+		{name: "inversion/np=9.99", n: 999, p: 0.01, draws: 1_000_000},
+		{name: "btrs/np=10", n: 1000, p: 0.01, draws: 4_000_000},
+		{name: "btrs/np=12", n: 40, p: 0.3, draws: 1_000_000},
+		{name: "btrs/np=25", n: 250, p: 0.1, draws: 1_000_000},
+		{name: "btrs/p=0.5", n: 60, p: 0.5, draws: 1_000_000},
+		{name: "btrs/p>0.5", n: 40, p: 0.7, draws: 1_000_000},
+		{name: "btrs/n=1e5,np=20", n: 100_000, p: 0.0002, draws: 1_000_000},
+		{name: "btrs/np=600", n: 2000, p: 0.3, draws: 1_000_000},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			r := New(8)
-			const draws = 100000
-			counts := make([]int, tt.n+1)
-			for i := 0; i < draws; i++ {
-				counts[r.Binomial(tt.n, tt.p)]++
+			obs := make([]int, tt.n+1)
+			for i := 0; i < tt.draws; i++ {
+				obs[r.Binomial(tt.n, tt.p)]++
 			}
-			// Exact pmf.
 			pmf := make([]float64, tt.n+1)
-			for k := 0; k <= tt.n; k++ {
-				pmf[k] = math.Exp(lgamma(float64(tt.n)+1) - lgamma(float64(k)+1) -
-					lgamma(float64(tt.n-k)+1) + float64(k)*math.Log(tt.p) +
-					float64(tt.n-k)*math.Log(1-tt.p))
+			for k := range pmf {
+				pmf[k] = binomialPMF(k, tt.n, tt.p)
 			}
-			chi2 := 0.0
-			dof := 0
-			for k := 0; k <= tt.n; k++ {
-				expected := pmf[k] * draws
-				if expected < 5 {
-					continue // merge-tail shortcut: skip sparse bins
-				}
-				d := float64(counts[k]) - expected
-				chi2 += d * d / expected
-				dof++
+			res, err := stats.ChiSquareGOF(obs, pmf)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// Very loose bound: chi2 should be near dof; 3*dof+30 is far
-			// beyond any plausible statistical fluctuation at this size.
-			if chi2 > 3*float64(dof)+30 {
-				t.Fatalf("chi2 = %.1f with %d bins: sampler mismatch", chi2, dof)
+			if !res.IndistinguishableAt(stats.DefaultEquivalenceAlpha) {
+				t.Errorf("Binomial(%d, %v): draws do not fit the exact pmf: stat=%.1f df=%d p=%.2g",
+					tt.n, tt.p, res.Stat, res.DF, res.P)
 			}
 		})
 	}

@@ -166,8 +166,8 @@ var equivSuiteDefs = []struct {
 				Run(context.Background(), config.Balanced(1600, 80))
 		},
 	},
-	// n = 10⁸ over 8 colors: means near 10⁷, where about one BTRS draw in
-	// five misses the squeeze and takes the full acceptance test.
+	// n = 10⁸ over 8 colors: means near 10⁷, where BTRS takes its full
+	// acceptance test about once in four calls.
 	{
 		name: "batch/3-majority/biased-1e8", k: 8, reps: 100,
 		run: func(rep int) (*Result, error) {
