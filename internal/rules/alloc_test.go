@@ -48,6 +48,8 @@ func TestBatchStepZeroSteadyStateAllocs(t *testing.T) {
 // counts have spread over several distinct values. The configuration is
 // reset from a snapshot before each measured round, so every round sees
 // the same support and the scratch sized by the warm-up round suffices.
+// Under -race, where sync.Pool drops the pooled multinomial scratch at
+// random, the rounds still run but their allocation count is not checked.
 func TestHMajorityStepZeroAllocsWideSupport(t *testing.T) {
 	m := NewHMajority(5)
 	r := rng.New(33)
@@ -57,7 +59,7 @@ func TestHMajorityStepZeroAllocsWideSupport(t *testing.T) {
 		if avg := testing.AllocsPerRun(50, func() {
 			copy(c.CountsView(), snap)
 			m.Step(c, r)
-		}); avg != 0 {
+		}); avg != 0 && !raceEnabled {
 			t.Errorf("round %d (%d live colors): batch round allocates %.2f times, want 0", round, c.Remaining(), avg)
 		}
 		if err := c.CheckInvariant(); err != nil {
@@ -70,7 +72,8 @@ func TestHMajorityStepZeroAllocsWideSupport(t *testing.T) {
 // rounds from Singleton(4096) allocate nothing over three successive
 // rounds, where few trials fall on each live color and rng.Multinomial and
 // rng.Thin draw per trial from pooled scratch. Each measured round restarts
-// from its snapshot, so every run sees the same support.
+// from its snapshot, so every run sees the same support. Under -race the
+// allocation count is not checked, as above.
 func TestBatchStepZeroAllocsSingleton(t *testing.T) {
 	cases := []struct {
 		name string
@@ -89,7 +92,7 @@ func TestBatchStepZeroAllocsSingleton(t *testing.T) {
 				if avg := testing.AllocsPerRun(50, func() {
 					copy(c.CountsView(), snap)
 					tc.rule.Step(c, r)
-				}); avg != 0 {
+				}); avg != 0 && !raceEnabled {
 					t.Errorf("round %d (%d live colors): Step allocates %.2f times, want 0", round, c.Remaining(), avg)
 				}
 				if err := c.CheckInvariant(); err != nil {
