@@ -3,9 +3,9 @@ package rng
 import "testing"
 
 // TestBinomialZeroAllocs: both sampling regimes — binomialInversion for
-// means below the cutoff and binomialBTRS from it up, whose full
-// acceptance test calls btrsLogRatio and stirlingTail — are
-// allocation-free on every call.
+// means below the cutoff and binomialBTRS from it up — are allocation-free
+// on every call, including BTRS's full acceptance test (btrsLogRatio and
+// stirlingTail, from the table at np = 10 and from the series at n = 10⁹).
 func TestBinomialZeroAllocs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -13,9 +13,9 @@ func TestBinomialZeroAllocs(t *testing.T) {
 		p    float64
 	}{
 		{"inversion", 1000, 0.005},         // np = 5 < cutoff: binomialInversion
-		{"btrs/floor", 1000, 0.01},         // np = 10: binomialBTRS at its floor
+		{"btrs-floor", 1000, 0.01},         // np = 10: binomialBTRS at its floor
 		{"btrs", 100_000, 0.3},             // np = 30000
-		{"btrs/n=1e9", 1_000_000_000, 0.3}, // table-free Stirling tails
+		{"btrs-n=1e9", 1_000_000_000, 0.3}, // every Stirling tail from the series
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -28,20 +28,6 @@ func TestBinomialZeroAllocs(t *testing.T) {
 			_ = sink
 		})
 	}
-}
-
-// TestBTRSAcceptanceHelpersZeroAllocs: the acceptance test's log-ratio
-// and Stirling tails allocate nothing, from the table and from the series.
-func TestBTRSAcceptanceHelpersZeroAllocs(t *testing.T) {
-	sink := 0.0
-	avg := testing.AllocsPerRun(100, func() {
-		sink += btrsLogRatio(3, 10, 1000, 0.01, 0.99, stirlingTail(10)+stirlingTail(990))
-		sink += stirlingTail(4) + stirlingTail(1e9)
-	})
-	if avg != 0 {
-		t.Errorf("btrsLogRatio and stirlingTail allocate %.2f times, want 0", avg)
-	}
-	_ = sink
 }
 
 // TestAliasResetZeroSteadyStateAllocs: Reset and ResetCounts rebuild the

@@ -142,9 +142,10 @@ func TestBinomialMomentsBTRS(t *testing.T) {
 // chi-square goodness of fit at stats.DefaultEquivalenceAlpha, in every
 // regime: inversion below np = 10, BTRS at its floor np = 10 and at the
 // middle-game means 10–30, p = 1/2, the p > 1/2 mirror, n = 10⁵ with a
-// small p, and a large mean. At np = 10 over half the draws take the full
-// acceptance test, so an error of 1e-3 in a Stirling tail shows there; the
-// four million draws see one of 1/(12·11).
+// small p, and np = 60. At np = 10 the full acceptance test runs about
+// 0.8 times per draw, so an error in a Stirling tail shows there: its four
+// million draws detect dropping the series' 1/12 term, which moves
+// stirlingTail(10) by 1/(12·11).
 func TestBinomialChiSquare(t *testing.T) {
 	tests := []struct {
 		name  string
@@ -152,15 +153,15 @@ func TestBinomialChiSquare(t *testing.T) {
 		p     float64
 		draws int
 	}{
-		{name: "inversion/np=4.8", n: 12, p: 0.4, draws: 1_000_000},
-		{name: "inversion/np=9.99", n: 999, p: 0.01, draws: 1_000_000},
-		{name: "btrs/np=10", n: 1000, p: 0.01, draws: 4_000_000},
-		{name: "btrs/np=12", n: 40, p: 0.3, draws: 1_000_000},
-		{name: "btrs/np=25", n: 250, p: 0.1, draws: 1_000_000},
-		{name: "btrs/p=0.5", n: 60, p: 0.5, draws: 1_000_000},
-		{name: "btrs/p>0.5", n: 40, p: 0.7, draws: 1_000_000},
-		{name: "btrs/n=1e5,np=20", n: 100_000, p: 0.0002, draws: 1_000_000},
-		{name: "btrs/np=600", n: 2000, p: 0.3, draws: 1_000_000},
+		{name: "inversion", n: 12, p: 0.4, draws: 1_000_000},
+		{name: "inversion-np=9.99", n: 999, p: 0.01, draws: 1_000_000},
+		{name: "btrs-np=10", n: 1000, p: 0.01, draws: 4_000_000},
+		{name: "btrs-np=12", n: 40, p: 0.3, draws: 1_000_000},
+		{name: "btrs-np=25", n: 250, p: 0.1, draws: 1_000_000},
+		{name: "btrs-p=0.5", n: 60, p: 0.5, draws: 1_000_000},
+		{name: "btrs-p>0.5", n: 40, p: 0.7, draws: 1_000_000},
+		{name: "btrs-n=1e5,np=20", n: 100_000, p: 0.0002, draws: 1_000_000},
+		{name: "btrs", n: 200, p: 0.3, draws: 1_000_000},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -293,8 +293,9 @@ func executeRun(ctx context.Context, spec *RunSpec, start *config.Config, g grap
 		opts = append(opts, sim.WithStopWhen(pred(spec.StopWhen.Value)))
 	}
 	if spec.Adversary != nil {
-		// Fresh instance per replica: §5 strategies may carry run-local
-		// state (InjectInvalid caches its injected slot).
+		// The §5 strategies are stateless (each holds only its budget F),
+		// so one instance could serve every replica; building it here costs
+		// one small allocation and keeps each replica's options its own.
 		adv, err := adversary.ByName(spec.Adversary.Name, spec.Adversary.Budget)
 		if err != nil {
 			return nil, err
