@@ -133,7 +133,7 @@ func (a *Alias) ResetCounts(counts []int) {
 //
 //consensus:hotpath
 func (a *Alias) Draw(r *RNG) int {
-	hi, lo := bits.Mul64(r.pcg.Uint64(), uint64(len(a.prob)))
+	hi, lo := bits.Mul64(r.Uint64(), uint64(len(a.prob)))
 	i := int(hi)
 	if float64(lo>>11)*0x1p-53 < a.prob[i] {
 		return i
@@ -150,15 +150,18 @@ func (a *Alias) Draw(r *RNG) int {
 func (a *Alias) DrawN(r *RNG, dst []int) {
 	prob, alias := a.prob, a.alias
 	k := uint64(len(prob))
-	src := r.pcg
+	g := r.pcg
 	for j := range dst {
-		hi, lo := bits.Mul64(src.Uint64(), k)
+		var x uint64
+		g, x = g.next()
+		hi, lo := bits.Mul64(x, k)
 		i := int(hi)
 		if float64(lo>>11)*0x1p-53 >= prob[i] {
 			i = alias[i]
 		}
 		dst[j] = i
 	}
+	r.pcg = g
 }
 
 // Len returns the number of categories in the table.

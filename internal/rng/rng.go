@@ -10,19 +10,50 @@ package rng
 import (
 	"math"
 	"math/bits"
-	"math/rand/v2"
 )
 
 // RNG is a seedable source of randomness with exact discrete samplers.
 // It is not safe for concurrent use; derive one RNG per goroutine.
 //
-// The underlying PCG generator is held both behind the rand/v2 adapter
-// (for its derived samplers) and directly: the hot batched fills below
-// pull words straight from the concrete generator, skipping the Source
-// interface dispatch. Both views drain the same stream.
+// The generator is PCG-DXSM, held by value (pcg): every method draws from
+// it directly, with no Source interface between the sampler and the
+// stream, and consumes words exactly as math/rand/v2's Rand over its PCG
+// does, so a seed gives the same stream it gave when the rand/v2 adapter
+// sat in between (TestStreamMatchesRandV2).
 type RNG struct {
-	src *rand.Rand
-	pcg *rand.PCG
+	pcg pcg
+}
+
+// pcg is PCG-DXSM with a 128-bit LCG state: math/rand/v2's PCG, with the
+// same constants and steps. It is a value so that the batched loops can
+// carry it in locals and write it back once.
+type pcg struct {
+	hi, lo uint64
+}
+
+// next returns the generator one step on and the word that step outputs.
+//
+//consensus:hotpath
+func (p pcg) next() (pcg, uint64) {
+	const (
+		mulHi = 2549297995355413924
+		mulLo = 4865540595714422341
+		incHi = 6364136223846793005
+		incLo = 1442695040888963407
+	)
+	// state = state·mul + inc (mod 2¹²⁸)
+	hi, lo := bits.Mul64(p.lo, mulLo)
+	hi += p.hi*mulLo + p.lo*mulHi
+	lo, c := bits.Add64(lo, incLo, 0)
+	hi, _ = bits.Add64(hi, incHi, c)
+	p = pcg{hi: hi, lo: lo}
+	// DXSM output: double xorshift multiply of the high half.
+	const cheapMul = 0xda942042e4dd58b5
+	hi ^= hi >> 32
+	hi *= cheapMul
+	hi ^= hi >> 48
+	hi *= lo | 1
+	return p, hi
 }
 
 // New returns an RNG seeded with seed. Two RNGs created with the same seed
@@ -32,12 +63,7 @@ func New(seed uint64) *RNG {
 	// still yield uncorrelated PCG states.
 	s1 := splitMix64(seed)
 	s2 := splitMix64(s1)
-	return newFromPCG(s1, s2)
-}
-
-func newFromPCG(s1, s2 uint64) *RNG {
-	pcg := rand.NewPCG(s1, s2)
-	return &RNG{src: rand.New(pcg), pcg: pcg}
+	return &RNG{pcg: pcg{hi: s1, lo: s2}}
 }
 
 // Derive returns a new RNG whose stream is a deterministic function of the
@@ -46,28 +72,61 @@ func newFromPCG(s1, s2 uint64) *RNG {
 func (r *RNG) Derive(i uint64) *RNG {
 	// Draw two words from this stream and mix them with i. The parent
 	// advances, so successive Derive calls with the same i also differ.
-	a := r.src.Uint64()
-	b := r.src.Uint64()
-	return newFromPCG(splitMix64(a^i), splitMix64(b+i))
+	a := r.Uint64()
+	b := r.Uint64()
+	return &RNG{pcg: pcg{hi: splitMix64(a ^ i), lo: splitMix64(b + i)}}
 }
 
-// Float64 returns a uniform value in [0, 1).
-func (r *RNG) Float64() float64 { return r.src.Float64() }
+// Uint64 returns a uniform 64-bit value.
+func (r *RNG) Uint64() (x uint64) {
+	r.pcg, x = r.pcg.next()
+	return x
+}
+
+// Float64 returns a uniform value in [0, 1): the word's low 53 bits
+// scaled by 2⁻⁵³.
+func (r *RNG) Float64() float64 {
+	return float64(r.Uint64()<<11>>11) / (1 << 53)
+}
 
 // IntN returns a uniform value in [0, n). It panics if n <= 0.
-func (r *RNG) IntN(n int) int { return r.src.IntN(n) }
+func (r *RNG) IntN(n int) int {
+	if n <= 0 {
+		panic("rng: IntN requires n > 0")
+	}
+	return int(r.uint64n(uint64(n)))
+}
 
-// Uint64 returns a uniform 64-bit value.
-func (r *RNG) Uint64() uint64 { return r.pcg.Uint64() }
+// uint64n returns a uniform value in [0, n) for n > 0: a mask when n is a
+// power of two, else Lemire's multiply with rejection, which computes the
+// threshold -n % n only when the first product's low half falls below n.
+// This is rand/v2's word order on every platform (its 32-bit path
+// reproduces the 64-bit one).
+//
+//consensus:hotpath
+func (r *RNG) uint64n(n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
+	}
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(r.Uint64(), n)
+		}
+	}
+	return hi
+}
 
 // FillIntN fills dst with independent uniform values in [0, n), one RNG
 // word per value in the common case. It is the batched form of IntN for
-// the per-node sampling loops: the generator is pulled directly (no Source
-// interface dispatch) and the Lemire multiply-with-rejection bound check
-// is hoisted out of the loop. It panics if n <= 0.
+// the per-node sampling loops: the generator state stays in locals for the
+// whole fill and the rejection threshold is hoisted out of the loop. It
+// panics if n <= 0.
 //
-// The stream differs from repeated IntN calls (rand/v2 consumes words in
-// its own order); within FillIntN the draws are exact and unbiased.
+// The stream differs from repeated IntN calls (IntN masks powers of two
+// and computes its threshold lazily); within FillIntN the draws are exact
+// and unbiased.
 //
 //consensus:hotpath
 func (r *RNG) FillIntN(n int, dst []int) {
@@ -76,21 +135,41 @@ func (r *RNG) FillIntN(n int, dst []int) {
 	}
 	un := uint64(n)
 	thresh := -un % un // (2^64 - un) mod un: reject lo below this
-	src := r.pcg
+	g := r.pcg
 	for i := range dst {
-		hi, lo := bits.Mul64(src.Uint64(), un)
+		var x uint64
+		g, x = g.next()
+		hi, lo := bits.Mul64(x, un)
 		for lo < thresh {
-			hi, lo = bits.Mul64(src.Uint64(), un)
+			g, x = g.next()
+			hi, lo = bits.Mul64(x, un)
 		}
 		dst[i] = int(hi)
 	}
+	r.pcg = g
 }
 
 // Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
+func (r *RNG) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	return p
+}
 
-// Shuffle randomizes the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
+// Shuffle randomizes the order of n elements using swap: a Fisher–Yates
+// pass from the back, swapping i with a uniform j in [0, i]. It panics if
+// n < 0.
+func (r *RNG) Shuffle(n int, swap func(i, j int)) {
+	if n < 0 {
+		panic("rng: Shuffle requires n >= 0")
+	}
+	for i := n - 1; i > 0; i-- {
+		swap(i, int(r.uint64n(uint64(i+1))))
+	}
+}
 
 // Bernoulli returns true with probability p.
 //
@@ -102,7 +181,7 @@ func (r *RNG) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return r.src.Float64() < p
+	return r.Float64() < p
 }
 
 // The mean below which Binomial uses exact CDF inversion rather than the
@@ -145,7 +224,7 @@ func (r *RNG) binomialInversion(n int, p float64) int {
 	// f = P(X = 0) = q^n, computed in log space to avoid underflow for
 	// large n (p <= 1/2 and np < 10 give q^n >= e^(-2np) > e^-20).
 	f := math.Exp(float64(n) * math.Log(q))
-	u := r.src.Float64()
+	u := r.Float64()
 	ratio := p / q
 	k := 0
 	for u > f && k < n {
@@ -179,8 +258,8 @@ func (r *RNG) binomialBTRS(n int, p float64) int {
 		alpha, m, tailM float64
 	)
 	for {
-		u := r.src.Float64() - 0.5
-		v := r.src.Float64()
+		u := r.Float64() - 0.5
+		v := r.Float64()
 		us := 0.5 - math.Abs(u)
 		kf := math.Floor((2*a/us+b)*u + c)
 		if kf < 0 || kf > fn {
@@ -397,7 +476,7 @@ func (r *RNG) Thin(counts []int, p float64, hits []int) int {
 //
 //consensus:hotpath
 func (r *RNG) skipGap(lq float64, n int) int {
-	g := math.Log1p(-r.src.Float64()) / lq
+	g := math.Log1p(-r.Float64()) / lq
 	if g >= float64(n) {
 		return n
 	}
@@ -419,7 +498,7 @@ func (r *RNG) Categorical(probs []float64) int {
 	if total <= 0 {
 		panic("rng: Categorical requires a positive entry")
 	}
-	u := r.src.Float64() * total
+	u := r.Float64() * total
 	for i, p := range probs {
 		if p <= 0 {
 			continue
@@ -447,7 +526,7 @@ func (r *RNG) CategoricalCounts(counts []int, total int) int {
 	if total <= 0 {
 		panic("rng: CategoricalCounts requires total > 0")
 	}
-	u := r.src.IntN(total)
+	u := r.IntN(total)
 	for i, c := range counts {
 		if c <= 0 {
 			continue

@@ -93,9 +93,11 @@ func (r *RNG) multinomialTally(n int, probs []float64, total float64, live int, 
 	}
 
 	k := uint64(live)
-	src := r.pcg
+	g := r.pcg
 	for t := 0; t < n; t++ {
-		hi, lo := bits.Mul64(src.Uint64(), k)
+		var x uint64
+		g, x = g.next()
+		hi, lo := bits.Mul64(x, k)
 		c := &cols[hi]
 		slot := c.slot
 		if float64(lo>>11)*0x1p-53 >= c.keep {
@@ -103,6 +105,7 @@ func (r *RNG) multinomialTally(n int, probs []float64, total float64, live int, 
 		}
 		out[slot]++
 	}
+	r.pcg = g
 	tallyPool.Put(s)
 }
 
