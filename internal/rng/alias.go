@@ -1,6 +1,9 @@
 package rng
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Alias is a Vose alias table for O(1) sampling from a fixed categorical
 // distribution. Build once with NewAlias (O(k)), then Draw repeatedly; when
@@ -14,8 +17,7 @@ import "math/bits"
 // its own RNG), as the sharded engines do; Reset/ResetCounts must not run
 // concurrently with Draw.
 type Alias struct {
-	prob  []float64
-	alias []int
+	cols []aliasColumn
 
 	// Build scratch, retained across Reset calls so steady-state rebuilds
 	// are allocation-free.
@@ -60,12 +62,14 @@ func (a *Alias) Reset(weights []float64) {
 		panic("rng: NewAlias requires a positive weight")
 	}
 
-	a.prob = growFloats(a.prob, k)
-	a.alias = growInts(a.alias, k)
-	a.scaled = growFloats(a.scaled, k)
-	// Scaled probabilities: mean 1.
+	a.cols = grow(a.cols, k)
+	a.scaled = grow(a.scaled, k)
+	// Scaled probabilities: mean 1. Every column starts out keeping its
+	// own index outright; the small ones get a threshold and an alias
+	// below.
 	for i, w := range weights {
 		a.scaled[i] = w * float64(k) / total
+		a.cols[i] = aliasColumn{keep: keepAll, alias: i}
 	}
 	small := a.small[:0]
 	large := a.large[:0]
@@ -82,8 +86,7 @@ func (a *Alias) Reset(weights []float64) {
 		g := large[len(large)-1]
 		large = large[:len(large)-1]
 
-		a.prob[l] = a.scaled[l]
-		a.alias[l] = g
+		a.cols[l] = aliasColumn{keep: keepThreshold(a.scaled[l]), alias: g}
 		a.scaled[g] = (a.scaled[g] + a.scaled[l]) - 1
 		if a.scaled[g] < 1 {
 			small = append(small, g)
@@ -91,15 +94,7 @@ func (a *Alias) Reset(weights []float64) {
 			large = append(large, g)
 		}
 	}
-	// Numerical leftovers get probability 1 (self-alias).
-	for _, i := range large {
-		a.prob[i] = 1
-		a.alias[i] = i
-	}
-	for _, i := range small {
-		a.prob[i] = 1
-		a.alias[i] = i
-	}
+	// Numerical leftovers, small or large, keep their own index outright.
 	a.small = small[:0]
 	a.large = large[:0]
 }
@@ -108,7 +103,7 @@ func (a *Alias) Reset(weights []float64) {
 //
 //consensus:hotpath
 func (a *Alias) ResetCounts(counts []int) {
-	a.weights = growFloats(a.weights, len(counts))
+	a.weights = grow(a.weights, len(counts))
 	for i, c := range counts {
 		if c > 0 {
 			a.weights[i] = float64(c)
@@ -124,59 +119,87 @@ func (a *Alias) ResetCounts(counts []int) {
 // One draw consumes exactly one 64-bit word: the high bits pick the column
 // (via the 128-bit multiply hi = ⌊u·k/2^64⌋) and the multiply's remainder —
 // uniform within the chosen column — provides the 53-bit fraction for the
-// probability compare. Using the remainder rather than the raw low bits of
-// u matters: for k > 2^11 the raw low bits are correlated with the column,
-// while the remainder lo = u·k mod 2^64 walks an evenly spaced grid over
-// the full range conditional on hi. Column and fraction are each exact to
-// within k/2^64 — far below the float64 error already present in the table
-// probabilities themselves.
+// keep-or-alias compare. Using the remainder rather than the raw low bits
+// of u matters: for k > 2^11 the raw low bits are correlated with the
+// column, while the remainder lo = u·k mod 2^64 walks an evenly spaced grid
+// over the full range conditional on hi. Column and fraction are each
+// exact to within k/2^64 — far below the float64 error already present in
+// the table probabilities themselves.
 //
 //consensus:hotpath
 func (a *Alias) Draw(r *RNG) int {
-	hi, lo := bits.Mul64(r.Uint64(), uint64(len(a.prob)))
-	i := int(hi)
-	if float64(lo>>11)*0x1p-53 < a.prob[i] {
-		return i
-	}
-	return a.alias[i]
+	hi, lo := bits.Mul64(r.Uint64(), uint64(len(a.cols)))
+	return a.cols[hi].pick(int(hi), lo)
 }
 
 // DrawN fills dst with independent samples from the table's distribution.
 // It draws exactly like Draw — same stream, bit-identical results — but
-// amortizes the RNG dispatch and table bounds checks across the batch; the
-// per-node engines feed their strided sample buffers through it.
+// keeps the generator in locals and amortizes the table bounds checks
+// across the batch; the per-node engines feed their strided sample buffers
+// through it.
 //
 //consensus:hotpath
 func (a *Alias) DrawN(r *RNG, dst []int) {
-	prob, alias := a.prob, a.alias
-	k := uint64(len(prob))
+	cols := a.cols
+	k := uint64(len(cols))
 	g := r.pcg
 	for j := range dst {
-		var x uint64
-		g, x = g.next()
-		hi, lo := bits.Mul64(x, k)
-		i := int(hi)
-		if float64(lo>>11)*0x1p-53 >= prob[i] {
-			i = alias[i]
-		}
-		dst[j] = i
+		hi, lo := bits.Mul64(g.next(), k)
+		dst[j] = cols[hi].pick(int(hi), lo)
 	}
 	r.pcg = g
 }
 
-// Len returns the number of categories in the table.
-func (a *Alias) Len() int { return len(a.prob) }
-
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
+// aliasColumn is one column of an Alias table: a draw landing in column i
+// keeps i when its 53-bit fraction is below keep, and takes alias
+// otherwise.
+type aliasColumn struct {
+	keep  uint64
+	alias int
 }
 
-func growInts(buf []int, n int) []int {
+// pick returns the index a draw landing in column i selects, given the
+// low half lo of its multiply. The select is a mask, not a branch: which
+// way it goes is a coin flip the CPU cannot predict. Both the fraction
+// and keep are below 2⁵³+1, so their difference's sign bit is the compare.
+//
+//consensus:hotpath
+func (c aliasColumn) pick(i int, lo uint64) int {
+	kept := int(int64(lo>>11-c.keep) >> 63) // -1 below keep, else 0
+	return c.alias ^ ((i ^ c.alias) & kept)
+}
+
+// keepAll is the threshold of a column that always keeps: every 53-bit
+// fraction is below it.
+const keepAll = 1 << 53
+
+// keepThreshold returns the integer threshold ⌈p·2⁵³⌉ of a keep
+// probability p, capped to keepAll: for every 53-bit integer x,
+// x < keepThreshold(p) exactly when float64(x)·2⁻⁵³ < p. Scaling by 2⁵³
+// is exact (subnormal p included), and x < y for an integer x and a real
+// y exactly when x < ⌈y⌉, so the integer compare decides every draw as
+// the float compare would.
+//
+//consensus:hotpath
+func keepThreshold(p float64) uint64 {
+	switch {
+	case p >= 1:
+		return keepAll
+	case p > 0:
+		return uint64(math.Ceil(p * 0x1p53))
+	default:
+		return 0
+	}
+}
+
+// Len returns the number of categories in the table.
+func (a *Alias) Len() int { return len(a.cols) }
+
+// grow returns buf resized to n, reallocated only when its capacity is
+// short.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }

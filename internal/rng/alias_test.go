@@ -137,12 +137,54 @@ func TestAliasDrawNLargeK(t *testing.T) {
 	}
 }
 
+// TestAliasDrawNZeroAllocs: the batched and scalar draws, their column
+// select (aliasColumn.pick) and the threshold conversion (keepThreshold)
+// allocate nothing.
 func TestAliasDrawNZeroAllocs(t *testing.T) {
 	a := NewAliasCounts([]int{5, 1, 3, 7})
 	r := New(79)
 	dst := make([]int, 1024)
 	if avg := testing.AllocsPerRun(20, func() { a.DrawN(r, dst) }); avg != 0 {
 		t.Fatalf("DrawN allocates %.2f times per batch, want 0", avg)
+	}
+	sink := 0
+	if avg := testing.AllocsPerRun(20, func() {
+		c := aliasColumn{keep: keepThreshold(0.3), alias: 2}
+		sink += a.Draw(r) + c.pick(1, r.Uint64())
+	}); avg != 0 {
+		t.Fatalf("Draw, pick and keepThreshold allocate %.2f times, want 0", avg)
+	}
+	_ = sink
+}
+
+// TestKeepThreshold: the integer threshold decides every 53-bit fraction x
+// as the float compare float64(x)·2⁻⁵³ < p does, checked where the two
+// could part: at x = keep−1 and x = keep, for p at both ends of [0, 1], a
+// subnormal, probabilities that are not multiples of 2⁻⁵³, and a column
+// weight above 1 (a large column of the Vose build).
+func TestKeepThreshold(t *testing.T) {
+	for _, p := range []float64{
+		0, 0x1p-53, 5e-324, 0x1p-1022, 0x1p-54, 3 * 0x1p-55,
+		0.3, 1.0 / 3, 0.5, 1 - 0x1p-53, 1, 1.75,
+	} {
+		keep := keepThreshold(p)
+		if keep > keepAll {
+			t.Errorf("keepThreshold(%g) = %d, above 2^53", p, keep)
+		}
+		for _, x := range []uint64{keep - 1, keep} {
+			if x >= keepAll || (x == keep-1 && keep == 0) {
+				continue // not a 53-bit fraction
+			}
+			kept := x < keep
+			if want := float64(x)*0x1p-53 < p; kept != want {
+				t.Errorf("p = %g, x = %d: threshold %d keeps %v, float compare %v", p, x, keep, kept, want)
+			}
+		}
+	}
+	// A column that keeps must keep every fraction; one that never keeps,
+	// none.
+	if keepThreshold(1) != keepAll || keepThreshold(0) != 0 {
+		t.Errorf("keepThreshold(1) = %d, keepThreshold(0) = %d", keepThreshold(1), keepThreshold(0))
 	}
 }
 

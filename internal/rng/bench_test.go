@@ -41,9 +41,15 @@ func BenchmarkBinomial(b *testing.B) {
 // BenchmarkMultinomial sweeps the category count at a million trials,
 // where conditional binomials cost O(k) per draw, and the per-trial regime
 // at n = k (the singleton start's first round), plus both sides of the
-// n = tallyTrialsPerLive·k switch at k = 1024.
+// n = tallyTrialsPerLive·k switch at k = 1024. Uniform probabilities make
+// every alias column keep its own slot, so the per-trial cases also run
+// skewed probabilities (weight i%7+1), where the keep-or-alias select is a
+// coin flip per trial.
 func BenchmarkMultinomial(b *testing.B) {
-	cases := []struct{ n, k int }{
+	cases := []struct {
+		n, k   int
+		skewed bool
+	}{
 		{n: 1_000_000, k: 10},
 		{n: 1_000_000, k: 1000},
 		{n: 1_000_000, k: 100_000},
@@ -51,13 +57,22 @@ func BenchmarkMultinomial(b *testing.B) {
 		{n: 65536, k: 65536},
 		{n: tallyTrialsPerLive * 1024, k: 1024},
 		{n: tallyTrialsPerLive*1024 + 1, k: 1024},
+		{n: 256, k: 256, skewed: true},
+		{n: 4096, k: 4096, skewed: true},
 	}
 	for _, tc := range cases {
-		b.Run(fmt.Sprintf("n=%d,k=%d", tc.n, tc.k), func(b *testing.B) {
+		name := fmt.Sprintf("n=%d,k=%d", tc.n, tc.k)
+		if tc.skewed {
+			name += ",skewed"
+		}
+		b.Run(name, func(b *testing.B) {
 			r := New(2)
 			probs := make([]float64, tc.k)
 			for i := range probs {
 				probs[i] = 1 / float64(tc.k)
+				if tc.skewed {
+					probs[i] = float64(i%7 + 1)
+				}
 			}
 			out := make([]int, tc.k)
 			b.ResetTimer()
@@ -125,8 +140,11 @@ func BenchmarkCategoricalVsAlias(b *testing.B) {
 }
 
 // BenchmarkAliasDrawN contrasts the scalar one-word draw with the batched
-// fill: the fill amortizes RNG dispatch and table bounds checks, which is
-// what the per-node engines' strided sample buffers buy.
+// fill: the fill keeps the generator in locals and amortizes table bounds
+// checks, which is what the per-node engines' strided sample buffers buy.
+// The k = 16 near-balanced table (counts within ±3% of each other) is the
+// per-node workload's 3-Majority from Balanced(n, 16): most columns keep
+// with probability near, but not at, 1.
 func BenchmarkAliasDrawN(b *testing.B) {
 	const k = 64
 	weights := make([]float64, k)
@@ -152,6 +170,19 @@ func BenchmarkAliasDrawN(b *testing.B) {
 			}
 		})
 	}
+	balanced := make([]int, 16)
+	for i := range balanced {
+		balanced[i] = 3125 + (i*37)%191 - 95
+	}
+	nb := NewAliasCounts(balanced)
+	b.Run("drawn-1024,k=16,near-balanced", func(b *testing.B) {
+		r := New(4)
+		dst := make([]int, 1024)
+		b.ResetTimer()
+		for i := 0; i < b.N; i += len(dst) {
+			nb.DrawN(r, dst)
+		}
+	})
 }
 
 // BenchmarkFillIntN measures the batched uniform fill the graph engine's

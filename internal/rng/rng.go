@@ -26,15 +26,16 @@ type RNG struct {
 
 // pcg is PCG-DXSM with a 128-bit LCG state: math/rand/v2's PCG, with the
 // same constants and steps. It is a value so that the batched loops can
-// carry it in locals and write it back once.
+// step a local copy and write it back once.
 type pcg struct {
 	hi, lo uint64
 }
 
-// next returns the generator one step on and the word that step outputs.
+// next advances the generator one step and returns the word that step
+// outputs.
 //
 //consensus:hotpath
-func (p pcg) next() (pcg, uint64) {
+func (p *pcg) next() uint64 {
 	const (
 		mulHi = 2549297995355413924
 		mulLo = 4865540595714422341
@@ -46,14 +47,14 @@ func (p pcg) next() (pcg, uint64) {
 	hi += p.hi*mulLo + p.lo*mulHi
 	lo, c := bits.Add64(lo, incLo, 0)
 	hi, _ = bits.Add64(hi, incHi, c)
-	p = pcg{hi: hi, lo: lo}
+	p.hi, p.lo = hi, lo
 	// DXSM output: double xorshift multiply of the high half.
 	const cheapMul = 0xda942042e4dd58b5
 	hi ^= hi >> 32
 	hi *= cheapMul
 	hi ^= hi >> 48
 	hi *= lo | 1
-	return p, hi
+	return hi
 }
 
 // New returns an RNG seeded with seed. Two RNGs created with the same seed
@@ -78,15 +79,12 @@ func (r *RNG) Derive(i uint64) *RNG {
 }
 
 // Uint64 returns a uniform 64-bit value.
-func (r *RNG) Uint64() (x uint64) {
-	r.pcg, x = r.pcg.next()
-	return x
-}
+func (r *RNG) Uint64() uint64 { return r.pcg.next() }
 
 // Float64 returns a uniform value in [0, 1): the word's low 53 bits
 // scaled by 2⁻⁵³.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()<<11>>11) / (1 << 53)
+	return float64(r.pcg.next()<<11>>11) / (1 << 53)
 }
 
 // IntN returns a uniform value in [0, n). It panics if n <= 0.
@@ -137,12 +135,9 @@ func (r *RNG) FillIntN(n int, dst []int) {
 	thresh := -un % un // (2^64 - un) mod un: reject lo below this
 	g := r.pcg
 	for i := range dst {
-		var x uint64
-		g, x = g.next()
-		hi, lo := bits.Mul64(x, un)
+		hi, lo := bits.Mul64(g.next(), un)
 		for lo < thresh {
-			g, x = g.next()
-			hi, lo = bits.Mul64(x, un)
+			hi, lo = bits.Mul64(g.next(), un)
 		}
 		dst[i] = int(hi)
 	}

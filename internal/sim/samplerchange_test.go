@@ -9,6 +9,7 @@ import (
 
 	"github.com/ignorecomply/consensus/internal/adversary"
 	"github.com/ignorecomply/consensus/internal/config"
+	"github.com/ignorecomply/consensus/internal/core"
 	"github.com/ignorecomply/consensus/internal/graph"
 	"github.com/ignorecomply/consensus/internal/rules"
 	"github.com/ignorecomply/consensus/internal/stats"
@@ -53,7 +54,8 @@ type equivFixture struct {
 }
 
 // equivSuiteDefs enumerates the recorded workloads: every engine whose draw
-// stream the samplers feed, with and without the §5 adversary, plus the
+// stream the samplers feed (the cluster engine under its zero-latency
+// model among them), with and without the §5 adversary, plus the
 // h-Majority rule on both the batch law and the per-node engine, the
 // batch Voter, 3-Majority and 2-Choices laws from the singleton start, and
 // the batch binomial's two BTRS regimes: means of 10–30 and n = 10⁸.
@@ -174,6 +176,28 @@ var equivSuiteDefs = []struct {
 			return NewRunner(rules.NewThreeMajority(),
 				WithEngine(EngineBatch), WithSeed(53_000+uint64(rep))).
 				Run(context.Background(), config.Biased(100_000_000, 8, 10_000))
+		},
+	},
+	// The cluster engine under its default zero-latency model, pinned to
+	// one worker lane so the recorded stream does not depend on the
+	// machine's core count.
+	{
+		name: "cluster/3-majority", k: 8, reps: 120,
+		run: func(rep int) (*Result, error) {
+			return NewFactoryRunner(func() core.Rule { return rules.NewThreeMajority() },
+				WithEngine(EngineCluster), WithParallelism(1), WithSeed(54_000+uint64(rep))).
+				Run(context.Background(), config.Balanced(256, 8))
+		},
+	},
+	{
+		name: "cluster/3-majority/adversary", k: 4, reps: 100,
+		run: func(rep int) (*Result, error) {
+			return NewFactoryRunner(func() core.Rule { return rules.NewThreeMajority() },
+				WithEngine(EngineCluster), WithParallelism(1),
+				WithAdversary(&adversary.RandomNoise{F: 2}, 0.1, 10),
+				WithMaxRounds(5000),
+				WithSeed(55_000+uint64(rep))).
+				Run(context.Background(), config.Balanced(200, 4))
 		},
 	},
 	{
