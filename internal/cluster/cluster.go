@@ -44,12 +44,6 @@ import (
 	"github.com/ignorecomply/consensus/internal/rng"
 )
 
-// sampleChunk is the number of nodes whose pulls the lockstep fast path
-// resolves per batched uniform fill (cf. the agents engine's chunked
-// sampling): large enough to amortize RNG dispatch and overlap the
-// random-access color gathers, small enough to stay in L1.
-const sampleChunk = 256
-
 // Options configures a System beyond its factory, start configuration and
 // random source.
 type Options struct {
@@ -74,14 +68,13 @@ type timedEvent struct {
 }
 
 // lane is the per-worker execution state: a random stream and rule
-// instance of its own, a strided buffer for the lockstep fast path, and
-// out-buffers for deferred events and staged updates. The coordinator
+// instance of its own, and out-buffers for deferred events and staged
+// updates. The coordinator
 // owns one extra lane (direct = true) whose events skip the defer buffer
 // and enter the queue immediately.
 type lane struct {
 	stream   *rng.RNG
 	rule     core.NodeRule
-	buf      []int
 	deferred []timedEvent
 	staged   []staged
 	messages int64
@@ -97,9 +90,8 @@ type System struct {
 	colors []int // colors[i] = slot of node i; updates apply at tick ends
 	n, h   int
 
-	model    Model
-	retry    int64
-	lockstep bool
+	model Model
+	retry int64
 
 	now     int64 // current virtual tick
 	target  int   // rounds every node must have completed when Step returns
@@ -151,17 +143,16 @@ func NewSystem(factory func() (core.NodeRule, error), start *config.Config, base
 	}
 
 	s := &System{
-		cfg:      start.Clone(),
-		colors:   start.Nodes(),
-		n:        n,
-		model:    model,
-		retry:    model.RetryAfter(),
-		lockstep: lockstep(model),
-		done:     make([]int32, n),
-		got:      make([]int32, n),
-		queue:    newEventQueue(),
-		p:        p,
-		lanes:    make([]lane, p+1),
+		cfg:    start.Clone(),
+		colors: start.Nodes(),
+		n:      n,
+		model:  model,
+		retry:  model.RetryAfter(),
+		done:   make([]int32, n),
+		got:    make([]int32, n),
+		queue:  newEventQueue(),
+		p:      p,
+		lanes:  make([]lane, p+1),
 	}
 	s.counts = s.cfg.CountsView()
 	if s.retry < 1 {
@@ -187,7 +178,6 @@ func NewSystem(factory func() (core.NodeRule, error), start *config.Config, base
 		s.lanes[li] = lane{
 			stream: base.Derive(uint64(li)),
 			rule:   rule,
-			buf:    make([]int, sampleChunk*rule.Samples()),
 			direct: li == p,
 		}
 	}
@@ -304,44 +294,10 @@ func (s *System) workerLoop(w int) {
 //
 //consensus:hotpath
 func (s *System) runWakes(ln *lane, wakes []int32) {
-	if s.lockstep {
-		s.runWakesLockstep(ln, wakes)
-		return
-	}
 	for _, i := range wakes {
 		for j := 0; j < s.h; j++ {
 			s.firePull(ln, i)
 		}
-	}
-}
-
-// runWakesLockstep resolves whole rounds inline for instant-delivery
-// models: targets are drawn in one batched uniform fill per chunk, their
-// colors gathered from the snapshot, and the update applied — no
-// per-message events exist at all, so a lockstep round costs what an
-// agents-engine round does plus the per-node color gather.
-//
-//consensus:hotpath
-func (s *System) runWakesLockstep(ln *lane, wakes []int32) {
-	h := s.h
-	for base := 0; base < len(wakes); base += sampleChunk {
-		end := base + sampleChunk
-		if end > len(wakes) {
-			end = len(wakes)
-		}
-		m := end - base
-		chunk := ln.buf[:m*h]
-		ln.stream.FillIntN(s.n, chunk)
-		for idx := 0; idx < m; idx++ {
-			i := wakes[base+idx]
-			smp := chunk[idx*h : (idx+1)*h]
-			for j, t := range smp {
-				smp[j] = s.colors[t]
-			}
-			next := ln.rule.Update(s.colors[i], smp, ln.stream)
-			ln.staged = append(ln.staged, staged{node: i, next: int32(next)})
-		}
-		ln.messages += int64(2 * m * h)
 	}
 }
 
@@ -467,7 +423,7 @@ func (s *System) Messages() int64 { return s.messages }
 // ⌈log₂(slots)⌉ bits (the model's O(log k) constraint). It is computed
 // from the live slot space, which an adversary may have grown mid-run by
 // injecting a color.
-func (s *System) BitsPerMessage() int { return bitsFor(s.cfg.Slots()) }
+func (s *System) BitsPerMessage() int { return BitsFor(s.cfg.Slots()) }
 
 // Close releases the worker pool. It is idempotent and must be called
 // between rounds (never while a Step is in flight).
@@ -482,9 +438,9 @@ func (s *System) Close() {
 	s.poolWG.Wait()
 }
 
-// bitsFor returns ⌈log₂(k)⌉ (minimum 1): the bits needed to name one of k
+// BitsFor returns ⌈log₂(k)⌉ (minimum 1): the bits needed to name one of k
 // colors in a message.
-func bitsFor(k int) int {
+func BitsFor(k int) int {
 	if k <= 2 {
 		return 1
 	}

@@ -309,10 +309,11 @@ func TestClusterMatchesBatchOneRound(t *testing.T) {
 	}
 }
 
-// TestSystemZeroSteadyStateAllocs: a steady-state lockstep round must not
-// allocate — buckets are recycled, lanes reuse their buffers. The round
-// drives the runWakes -> runWakesLockstep resolution and the applyLane
-// barrier, the //consensus:hotpath functions of the instant-delivery path.
+// TestSystemZeroSteadyStateAllocs: a steady-state round under the Zero
+// model must not allocate — buckets are recycled, lanes reuse their
+// buffers. Every pull resolves on the spot: runWakes fires it through
+// firePull, serve and deliver, and applyLane folds the lanes at the tick
+// barrier.
 func TestSystemZeroSteadyStateAllocs(t *testing.T) {
 	sys, err := NewSystem(okFactory(func() core.NodeRule { return rules.NewThreeMajority() }),
 		config.Balanced(2048, 4), rng.New(210), Options{})
@@ -324,7 +325,7 @@ func TestSystemZeroSteadyStateAllocs(t *testing.T) {
 		sys.Step() // reach steady state
 	}
 	if avg := testing.AllocsPerRun(20, func() { sys.Step() }); avg != 0 {
-		t.Errorf("lockstep Step allocates %.2f times, want 0", avg)
+		t.Errorf("zero-latency Step allocates %.2f times, want 0", avg)
 	}
 }
 
@@ -364,8 +365,8 @@ func TestBitsFor(t *testing.T) {
 		{k: 1025, want: 11},
 	}
 	for _, tt := range tests {
-		if got := bitsFor(tt.k); got != tt.want {
-			t.Errorf("bitsFor(%d) = %d, want %d", tt.k, got, tt.want)
+		if got := BitsFor(tt.k); got != tt.want {
+			t.Errorf("BitsFor(%d) = %d, want %d", tt.k, got, tt.want)
 		}
 	}
 }

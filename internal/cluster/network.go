@@ -147,12 +147,15 @@ func (m *Net) RetryAfter() int64 {
 	return m.Retry
 }
 
-// lockstep reports whether the model provably delivers every leg
-// instantly, which lets the engine resolve whole rounds inline with
-// batched sampling instead of going through per-message bookkeeping.
-func lockstep(m Model) bool {
+// Lockstep reports whether the model provably delivers every leg
+// instantly and loses none: nil (the default Zero), Zero, or a Net with no
+// delay, jitter, loss or partitions. Every node then completes exactly one
+// round per tick, pulling uniform targets against the start-of-tick
+// colors, so a run is the synchronous round that the sim package's agents
+// engine implements, and that is where the sim package runs it.
+func Lockstep(m Model) bool {
 	switch m := m.(type) {
-	case Zero:
+	case nil, Zero:
 		return true
 	case *Net:
 		return m.Delay == 0 && m.Jitter == 0 && m.Loss == 0 && len(m.Partitions) == 0

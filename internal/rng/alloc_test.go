@@ -2,8 +2,9 @@ package rng
 
 import "testing"
 
-// TestBinomialZeroAllocs: both sampling regimes — binomialInversion for
-// means below the cutoff and binomialBTRS from it up — are allocation-free
+// TestBinomialZeroAllocs: both sampling regimes — binomialInversion (and
+// its binomialP0) for means below the cutoff and binomialBTRS from it up —
+// are allocation-free
 // on every call, including BTRS's full acceptance test (btrsLogRatio and
 // stirlingTail, from the table at np = 10 and from the series at n = 10⁹).
 func TestBinomialZeroAllocs(t *testing.T) {

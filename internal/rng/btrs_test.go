@@ -135,3 +135,34 @@ func TestBTRSLogRatioPrecision(t *testing.T) {
 		}
 	}
 }
+
+// bigPow returns x^n in 256-bit arithmetic by repeated squaring.
+func bigPow(x *big.Float, n int) *big.Float {
+	res := bigF(1)
+	sq := new(big.Float).SetPrec(bigPrec).Set(x)
+	for ; n > 0; n >>= 1 {
+		if n&1 == 1 {
+			res.Mul(res, sq)
+		}
+		sq.Mul(sq, sq)
+	}
+	return res
+}
+
+// TestBinomialP0Precision: the inversion sampler's starting mass
+// P(X = 0) = (1−p)^n matches the 256-bit value to 1e-13 relative at the
+// largest n the scenarios run. Taking the log of the rounded 1−p instead
+// of Log1p(−p) is off by up to n·2⁻⁵³ relative: 3.2e-8 at n = 10⁹,
+// np = 9.
+func TestBinomialP0Precision(t *testing.T) {
+	for _, n := range []int{1_000_000, 1_000_000_000} {
+		for _, np := range []float64{0.5, 9} {
+			p := np / float64(n)
+			exact, _ := bigPow(new(big.Float).SetPrec(bigPrec).Sub(bigF(1), bigF(p)), n).Float64()
+			got := binomialP0(n, p)
+			if rel := math.Abs(got-exact) / exact; rel > 1e-13 {
+				t.Errorf("n = %d, np = %g: P(X = 0) = %.17g, exact %.17g (relative error %.2g)", n, np, got, exact, rel)
+			}
+		}
+	}
+}

@@ -20,14 +20,36 @@ func WithNetwork(m cluster.Model) Option {
 	return optionFunc(func(o *options) { o.network = m })
 }
 
-// runCluster drives a cluster.System through the shared round loop, so the
+// runCluster runs the message-passing process. Under a lockstep model
+// (Zero, or a Net with no delay, jitter, loss or partitions) every pull is
+// answered within its round, so a cluster round is exactly an agents
+// round: it runs on the agents kernel, on rule and one factory instance
+// per further shard, and its message accounting is the lossless law,
+// 2·n·h messages per round. Any other model drives a cluster.System
+// through the shared round loop, with lane instances from newRule, so the
 // message-passing engine honors the full option set (targets, traces,
 // observers, adversaries, cancellation) like every other engine.
-func runCluster(factory func() (core.NodeRule, error), start *config.Config, r *rng.RNG, o options) (*Result, error) {
+func runCluster(rule core.NodeRule, factory core.Factory, newRule func() (core.NodeRule, error), start *config.Config, r *rng.RNG, o options) (*Result, error) {
 	if o.behaviors != nil {
 		return nil, errors.New("sim: node behaviors need the agents engine")
 	}
-	sys, err := cluster.NewSystem(factory, start, r, cluster.Options{
+	if net, ok := o.network.(*cluster.Net); ok {
+		if err := net.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	if cluster.Lockstep(o.network) {
+		res, err := runAgents(rule, factory, start, r, o)
+		// A partial (cancelled) result still carries its message accounting.
+		if res != nil {
+			res.Messages = 2 * int64(start.N()) * int64(rule.Samples()) * int64(res.Rounds)
+			if res.Final != nil {
+				res.BitsPerMessage = cluster.BitsFor(res.Final.Slots())
+			}
+		}
+		return res, err
+	}
+	sys, err := cluster.NewSystem(newRule, start, r, cluster.Options{
 		Model:   o.network,
 		Workers: o.parallelism(start.N()),
 	})

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -299,6 +300,65 @@ func TestNetworkEngineInjectInvalidSlotGrowth(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestClusterZeroRunsAgentsKernel: under a lockstep model a cluster round
+// is an agents round, so the cluster engine runs the agents kernel. At the
+// same seed and worker count the two engines give the same run — rounds,
+// final counts and winner — for 3-Majority and for Voter under an
+// injecting adversary (which grows the slot space mid-run), and the
+// cluster run reports the lossless message law 2·n·h·rounds.
+func TestClusterZeroRunsAgentsKernel(t *testing.T) {
+	voterFactory := func() core.Rule { return rules.NewVoter() }
+	cases := []struct {
+		name    string
+		factory core.Factory
+		start   *config.Config
+		h       int
+		opts    []Option
+	}{
+		{name: "3-majority", factory: threeMajorityFactory, start: config.Balanced(300, 6), h: 3},
+		{name: "voter/inject-invalid", factory: voterFactory, start: config.Balanced(120, 3), h: 1,
+			opts: []Option{WithAdversary(&adversary.InjectInvalid{F: 1}, 0.05, 8), WithMaxRounds(20_000)}},
+	}
+	for _, tc := range cases {
+		for _, p := range []int{1, 3} {
+			for _, model := range []cluster.Model{nil, cluster.Zero{}, &cluster.Net{}} {
+				name := fmt.Sprintf("%s/p=%d/default", tc.name, p)
+				if model != nil {
+					name = fmt.Sprintf("%s/p=%d/%s", tc.name, p, model.Name())
+				}
+				t.Run(name, func(t *testing.T) {
+					opts := append([]Option{WithParallelism(p), WithSeed(77)}, tc.opts...)
+					agents, err := NewFactoryRunner(tc.factory, append(opts, WithEngine(EngineAgents))...).
+						Run(context.Background(), tc.start)
+					if err != nil {
+						t.Fatal(err)
+					}
+					clusterOpts := append(opts, WithEngine(EngineCluster))
+					if model != nil {
+						clusterOpts = append(clusterOpts, WithNetwork(model))
+					}
+					cl, err := NewFactoryRunner(tc.factory, clusterOpts...).Run(context.Background(), tc.start)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if cl.Rounds != agents.Rounds || cl.WinnerLabel != agents.WinnerLabel ||
+						!reflect.DeepEqual(cl.Final.CountsCopy(), agents.Final.CountsCopy()) {
+						t.Fatalf("cluster rounds %d, winner %d, final %v; agents rounds %d, winner %d, final %v",
+							cl.Rounds, cl.WinnerLabel, cl.Final.CountsCopy(),
+							agents.Rounds, agents.WinnerLabel, agents.Final.CountsCopy())
+					}
+					if want := int64(2 * tc.start.N() * tc.h * cl.Rounds); cl.Messages != want {
+						t.Fatalf("Messages = %d, want 2·n·h·rounds = %d", cl.Messages, want)
+					}
+					if agents.Messages != 0 {
+						t.Fatalf("agents run reports %d messages", agents.Messages)
+					}
+				})
+			}
+		}
 	}
 }
 

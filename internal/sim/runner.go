@@ -269,13 +269,14 @@ func (rn *Runner) runOnce(start *config.Config, r *rng.RNG, o options) (*Result,
 		if rn.factory == nil {
 			return nil, errors.New("sim: the cluster engine needs a fresh rule per worker lane; use NewFactoryRunner")
 		}
-		if _, err := asNodeRule(rule, o.engine); err != nil {
+		nodeRule, err := asNodeRule(rule, o.engine)
+		if err != nil {
 			return nil, err
 		}
 		// Every later instantiation is checked the same way as the first:
 		// a factory that returns nil or a non-NodeRule on some later call
 		// must surface the field-qualified error, not panic mid-run.
-		return runCluster(func() (core.NodeRule, error) {
+		return runCluster(nodeRule, rn.factory, func() (core.NodeRule, error) {
 			rule, err := rn.instance()
 			if err != nil {
 				return nil, err
@@ -288,6 +289,9 @@ func (rn *Runner) runOnce(start *config.Config, r *rng.RNG, o options) (*Result,
 }
 
 func asNodeRule(rule core.Rule, e Engine) (core.NodeRule, error) {
+	if rule == nil {
+		return nil, errors.New("sim: factory returned a nil rule")
+	}
 	nr, ok := rule.(core.NodeRule)
 	if !ok {
 		return nil, fmt.Errorf("sim: the %v engine needs per-node semantics, but rule %q implements no core.NodeRule", e, rule.Name())
