@@ -139,10 +139,10 @@ func plan(scale string, maxParallel int) ([]workload, error) {
 			{consensus.EngineAgents, "3-majority", 1_000_000, 8, caps(sweep), 30},
 			{consensus.EngineGraph, "3-majority", 10_000, 8, caps([]int{1}), 400},
 			{consensus.EngineGraph, "3-majority", 100_000, 8, caps(sweep), 60},
-			// The event-driven network engine (zero-latency lockstep): the
-			// 10k cell matches the smoke gate, and the n = 10⁶, k = 32 cell
-			// records the acceptance point past the old engine's 100k
-			// goroutine cap.
+			// The cluster engine under its zero-latency default, which runs
+			// on the agents kernel: the 10k cell matches the smoke gate, and
+			// the n = 10⁶, k = 32 cell records the acceptance point past the
+			// old engine's 100k goroutine cap.
 			{consensus.EngineCluster, "3-majority", 10_000, 8, caps([]int{1, 2}), 400},
 			{consensus.EngineCluster, "3-majority", 100_000, 8, caps([]int{1, 2}), 60},
 			{consensus.EngineCluster, "3-majority", 1_000_000, 32, caps([]int{1}), 20},
