@@ -1,9 +1,6 @@
 package rng
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // Alias is a Vose alias table for O(1) sampling from a fixed categorical
 // distribution. Build once with NewAlias (O(k)), then Draw repeatedly; when
@@ -174,22 +171,21 @@ func (c aliasColumn) pick(i int, lo uint64) int {
 const keepAll = 1 << 53
 
 // keepThreshold returns the integer threshold ⌈p·2⁵³⌉ of a keep
-// probability p, capped to keepAll: for every 53-bit integer x,
-// x < keepThreshold(p) exactly when float64(x)·2⁻⁵³ < p. Scaling by 2⁵³
-// is exact (subnormal p included), and x < y for an integer x and a real
-// y exactly when x < ⌈y⌉, so the integer compare decides every draw as
-// the float compare would.
+// probability p in [0, 1]: for every 53-bit integer x, x < keepThreshold(p)
+// exactly when float64(x)·2⁻⁵³ < p. Scaling by 2⁵³ is exact (subnormal p
+// included), and x < y for an integer x and a real y exactly when
+// x < ⌈y⌉, so the integer compare decides every draw as the float compare
+// would. The ceiling is the truncation, plus one unless y is an integer;
+// both conversions are exact up to 2⁵³.
 //
 //consensus:hotpath
 func keepThreshold(p float64) uint64 {
-	switch {
-	case p >= 1:
-		return keepAll
-	case p > 0:
-		return uint64(math.Ceil(p * 0x1p53))
-	default:
-		return 0
+	y := p * 0x1p53
+	t := int64(y)
+	if float64(t) < y {
+		t++
 	}
+	return uint64(t)
 }
 
 // Len returns the number of categories in the table.

@@ -137,9 +137,9 @@ func TestAliasDrawNLargeK(t *testing.T) {
 	}
 }
 
-// TestAliasDrawNZeroAllocs: the batched and scalar draws, their column
-// select (aliasColumn.pick) and the threshold conversion (keepThreshold)
-// allocate nothing.
+// TestAliasDrawNZeroAllocs: the batched and scalar draws, the column
+// selects (aliasColumn.pick, tallyColumn.pick) and the threshold
+// conversion (keepThreshold) allocate nothing.
 func TestAliasDrawNZeroAllocs(t *testing.T) {
 	a := NewAliasCounts([]int{5, 1, 3, 7})
 	r := New(79)
@@ -150,9 +150,10 @@ func TestAliasDrawNZeroAllocs(t *testing.T) {
 	sink := 0
 	if avg := testing.AllocsPerRun(20, func() {
 		c := aliasColumn{keep: keepThreshold(0.3), alias: 2}
-		sink += a.Draw(r) + c.pick(1, r.Uint64())
+		tc := tallyColumn{keep: 0.3, slot: 1, alias: 2}
+		sink += a.Draw(r) + c.pick(1, r.Uint64()) + int(tc.pick(r.Uint64()))
 	}); avg != 0 {
-		t.Fatalf("Draw, pick and keepThreshold allocate %.2f times, want 0", avg)
+		t.Fatalf("Draw, the picks and keepThreshold allocate %.2f times, want 0", avg)
 	}
 	_ = sink
 }
@@ -160,17 +161,13 @@ func TestAliasDrawNZeroAllocs(t *testing.T) {
 // TestKeepThreshold: the integer threshold decides every 53-bit fraction x
 // as the float compare float64(x)·2⁻⁵³ < p does, checked where the two
 // could part: at x = keep−1 and x = keep, for p at both ends of [0, 1], a
-// subnormal, probabilities that are not multiples of 2⁻⁵³, and a column
-// weight above 1 (a large column of the Vose build).
+// subnormal, and probabilities that are not multiples of 2⁻⁵³.
 func TestKeepThreshold(t *testing.T) {
 	for _, p := range []float64{
 		0, 0x1p-53, 5e-324, 0x1p-1022, 0x1p-54, 3 * 0x1p-55,
-		0.3, 1.0 / 3, 0.5, 1 - 0x1p-53, 1, 1.75,
+		0.3, 1.0 / 3, 0.5, 1 - 0x1p-53, 1,
 	} {
 		keep := keepThreshold(p)
-		if keep > keepAll {
-			t.Errorf("keepThreshold(%g) = %d, above 2^53", p, keep)
-		}
 		for _, x := range []uint64{keep - 1, keep} {
 			if x >= keepAll || (x == keep-1 && keep == 0) {
 				continue // not a 53-bit fraction
@@ -181,10 +178,43 @@ func TestKeepThreshold(t *testing.T) {
 			}
 		}
 	}
-	// A column that keeps must keep every fraction; one that never keeps,
-	// none.
+	// A column that always keeps must keep every fraction; one that never
+	// keeps, none.
 	if keepThreshold(1) != keepAll || keepThreshold(0) != 0 {
 		t.Errorf("keepThreshold(1) = %d, keepThreshold(0) = %d", keepThreshold(1), keepThreshold(0))
+	}
+}
+
+// TestPickMatchesFloatCompare: both masked selects — Alias's integer
+// threshold and the tally's float bit patterns — take the column's own
+// index exactly when the draw's fraction float64(lo>>11)·2⁻⁵³ is below
+// the keep probability, for fractions on both sides of keep and at it,
+// and for random draws. The tally's keep may exceed 1 (a large column).
+func TestPickMatchesFloatCompare(t *testing.T) {
+	r := New(80)
+	for _, p := range []float64{0, 5e-324, 0x1p-53, 0.3, 1.0 / 3, 0.5, 1 - 0x1p-53, 1, 1.75} {
+		thr := keepThreshold(min(p, 1))
+		los := []uint64{0, ^uint64(0)}
+		for _, x := range []uint64{thr - 1, thr, thr + 1} {
+			if x < keepAll {
+				los = append(los, x<<11, x<<11|0x7ff)
+			}
+		}
+		for i := 0; i < 1000; i++ {
+			los = append(los, r.Uint64())
+		}
+		for _, lo := range los {
+			below := float64(lo>>11)*0x1p-53 < p
+			if got := (tallyColumn{keep: p, slot: 5, alias: 9}).pick(lo) == 5; got != below {
+				t.Fatalf("tally: keep %g, lo %#x: kept %v, float compare %v", p, lo, got, below)
+			}
+			if p > 1 {
+				continue
+			}
+			if got := (aliasColumn{keep: thr, alias: 9}).pick(5, lo) == 5; got != below {
+				t.Fatalf("alias: keep %g, lo %#x: kept %v, float compare %v", p, lo, got, below)
+			}
+		}
 	}
 }
 

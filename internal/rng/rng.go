@@ -15,11 +15,10 @@ import (
 // RNG is a seedable source of randomness with exact discrete samplers.
 // It is not safe for concurrent use; derive one RNG per goroutine.
 //
-// The generator is PCG-DXSM, held by value (pcg): every method draws from
-// it directly, with no Source interface between the sampler and the
-// stream, and consumes words exactly as math/rand/v2's Rand over its PCG
-// does, so a seed gives the same stream it gave when the rand/v2 adapter
-// sat in between (TestStreamMatchesRandV2).
+// The generator is PCG-DXSM, held by value (pcg). Every method draws from
+// it directly, with no Source interface in between, and consumes words
+// exactly as math/rand/v2's Rand over a PCG in the same state does
+// (TestStreamMatchesRandV2).
 type RNG struct {
 	pcg pcg
 }
@@ -122,9 +121,10 @@ func (r *RNG) uint64n(n uint64) uint64 {
 // whole fill and the rejection threshold is hoisted out of the loop. It
 // panics if n <= 0.
 //
-// The stream differs from repeated IntN calls (IntN masks powers of two
-// and computes its threshold lazily); within FillIntN the draws are exact
-// and unbiased.
+// When n is a power of two the stream differs from repeated IntN calls
+// (IntN masks the low bits, FillIntN keeps the multiply's high ones); for
+// any other n they agree draw for draw. Either way the draws are exact and
+// unbiased.
 //
 //consensus:hotpath
 func (r *RNG) FillIntN(n int, dst []int) {

@@ -80,6 +80,7 @@ func TestStreamMatchesRandV2(t *testing.T) {
 
 // FuzzIntNMatchesRandV2: for any seed and positive bound, a run of IntN
 // draws equals rand/v2's, so the rejection loop consumes the same words.
+// Unless the bound is a power of two, a FillIntN batch equals them too.
 func FuzzIntNMatchesRandV2(f *testing.F) {
 	for i, n := range intNOracleBounds {
 		f.Add(uint64(i), int64(n))
@@ -96,6 +97,16 @@ func FuzzIntNMatchesRandV2(f *testing.F) {
 		}
 		if g, w := r.Uint64(), ref.Uint64(); g != w {
 			t.Fatalf("seed %d: streams out of step after IntN(%d)", seed, n)
+		}
+		if n&(n-1) == 0 {
+			return
+		}
+		batch := make([]int, 16)
+		r.FillIntN(int(n), batch)
+		for i, g := range batch {
+			if w := ref.IntN(int(n)); g != w {
+				t.Fatalf("seed %d: FillIntN(%d) draw %d = %d, rand/v2 IntN %d", seed, n, i, g, w)
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 )
@@ -14,21 +15,19 @@ import (
 const tallyTrialsPerLive = 9
 
 // tallyColumn is one column of the per-trial multinomial's alias table: a
-// draw landing in it takes slot when its 53-bit fraction is below keep (a
-// keepThreshold) and alias otherwise. Slot and alias are probs indices, so
-// a draw tallies straight into out with one table read.
+// draw landing in it takes slot when its fraction is below keep and alias
+// otherwise. Slot and alias are probs indices, so a draw tallies straight
+// into out with one table read.
 type tallyColumn struct {
-	keep        uint64
+	keep        float64
 	slot, alias int32
 }
 
-// tallyScratch is the per-trial multinomial's working storage, one column,
-// one scaled weight and one Vose work-list entry per live
-// (positive-probability) slot: 28 bytes per live slot, nothing per dead
-// one.
+// tallyScratch is the per-trial multinomial's working storage, one column
+// and one Vose work-list entry per live (positive-probability) slot: 20
+// bytes per live slot, nothing per dead one.
 type tallyScratch struct {
 	cols []tallyColumn
-	w    []float64
 	work []int32
 }
 
@@ -56,22 +55,19 @@ func (r *RNG) multinomialTally(n int, probs []float64, total float64, live int, 
 	if cap(s.cols) < live {
 		s.grow(live)
 	}
-	cols, w, work := s.cols[:live], s.w[:live], s.work[:live]
+	cols, work := s.cols[:live], s.work[:live]
 
 	// Scale to mean 1; small columns stack from the front of work, large
-	// ones from the back. Every column starts out keeping its own slot
-	// outright; a small one gets its threshold and alias when it is
-	// topped up, and columns left over at the end, large or left small by
-	// rounding, keep their slot.
+	// ones from the back.
 	scale := float64(live) / total
 	j, small, large := 0, 0, live
 	for i, p := range probs {
 		if p <= 0 {
 			continue
 		}
-		w[j] = p * scale
-		cols[j] = tallyColumn{keep: keepAll, slot: int32(i), alias: int32(i)}
-		if w[j] < 1 {
+		w := p * scale
+		cols[j] = tallyColumn{keep: w, slot: int32(i), alias: int32(i)}
+		if w < 1 {
 			work[small] = int32(j)
 			small++
 		} else {
@@ -83,33 +79,50 @@ func (r *RNG) multinomialTally(n int, probs []float64, total float64, live int, 
 	for small > 0 && large < live {
 		small--
 		l, g := work[small], work[large]
-		cols[l].keep = keepThreshold(w[l])
 		cols[l].alias = cols[g].slot
-		w[g] = (w[g] + w[l]) - 1
-		if w[g] < 1 {
+		cols[g].keep = (cols[g].keep + cols[l].keep) - 1
+		if cols[g].keep < 1 {
 			large++
 			work[small] = g
 			small++
 		}
+	}
+	// Columns left small by rounding keep their own slot outright (large
+	// ones already do: keep >= 1).
+	for _, l := range work[:small] {
+		cols[l].keep = 1
 	}
 
 	k := uint64(live)
 	g := r.pcg
 	for t := 0; t < n; t++ {
 		hi, lo := bits.Mul64(g.next(), k)
-		c := cols[hi]
-		// Keep or alias by a mask, not a branch (see aliasColumn.pick).
-		kept := int32(int64(lo>>11-c.keep) >> 63)
-		out[c.alias^((c.slot^c.alias)&kept)]++
+		out[cols[hi].pick(lo)]++
 	}
 	r.pcg = g
 	tallyPool.Put(s)
+}
+
+// pick returns the slot a draw landing in the column selects, given the
+// low half lo of its multiply: slot when the 53-bit fraction is below
+// keep, else alias. As in aliasColumn.pick the select is a mask, not a
+// branch. The fraction and keep are non-negative floats, which order as
+// their bit patterns do, so the sign of the patterns' difference is the
+// compare. Unlike Alias, the table keeps float keep probabilities: it is
+// rebuilt for at most tallyTrialsPerLive draws per column, and converting
+// each column to an integer threshold cost more in the build than the
+// float compare costs in the draws.
+//
+//consensus:hotpath
+func (c tallyColumn) pick(lo uint64) int32 {
+	x := math.Float64bits(float64(lo>>11) * 0x1p-53)
+	kept := int32(int64(x-math.Float64bits(c.keep)) >> 63) // -1 below keep, else 0
+	return c.alias ^ ((c.slot ^ c.alias) & kept)
 }
 
 // grow sizes the scratch for live slots; a cold path, taken only when a
 // wider support than any before reaches the pooled scratch.
 func (s *tallyScratch) grow(live int) {
 	s.cols = make([]tallyColumn, live)
-	s.w = make([]float64, live)
 	s.work = make([]int32, live)
 }
