@@ -69,9 +69,8 @@ type timedEvent struct {
 
 // lane is the per-worker execution state: a random stream and rule
 // instance of its own, and out-buffers for deferred events and staged
-// updates. The coordinator
-// owns one extra lane (direct = true) whose events skip the defer buffer
-// and enter the queue immediately.
+// updates. The coordinator owns one extra lane (direct = true) whose
+// events skip the defer buffer and enter the queue immediately.
 type lane struct {
 	stream   *rng.RNG
 	rule     core.NodeRule

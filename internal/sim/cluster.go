@@ -26,10 +26,12 @@ func WithNetwork(m cluster.Model) Option {
 // round: it runs on the agents kernel, on rule and one factory instance
 // per further shard, and its message accounting is the lossless law,
 // 2·n·h messages per round. Any other model drives a cluster.System
-// through the shared round loop, with lane instances from newRule, so the
-// message-passing engine honors the full option set (targets, traces,
-// observers, adversaries, cancellation) like every other engine.
-func runCluster(rule core.NodeRule, factory core.Factory, newRule func() (core.NodeRule, error), start *config.Config, r *rng.RNG, o options) (*Result, error) {
+// through the shared round loop, with one factory instance per lane, so
+// the message-passing engine honors the full option set (targets, traces,
+// observers, adversaries, cancellation) like every other engine. Either
+// way every instance is checked like the first: a factory that returns
+// nil or a non-NodeRule on a later call fails the run with an error.
+func runCluster(rule core.NodeRule, factory core.Factory, start *config.Config, r *rng.RNG, o options) (*Result, error) {
 	if o.behaviors != nil {
 		return nil, errors.New("sim: node behaviors need the agents engine")
 	}
@@ -49,6 +51,7 @@ func runCluster(rule core.NodeRule, factory core.Factory, newRule func() (core.N
 		}
 		return res, err
 	}
+	newRule := func() (core.NodeRule, error) { return asNodeRule(factory(), o.engine) }
 	sys, err := cluster.NewSystem(newRule, start, r, cluster.Options{
 		Model:   o.network,
 		Workers: o.parallelism(start.N()),

@@ -273,16 +273,7 @@ func (rn *Runner) runOnce(start *config.Config, r *rng.RNG, o options) (*Result,
 		if err != nil {
 			return nil, err
 		}
-		// Every later instantiation is checked the same way as the first:
-		// a factory that returns nil or a non-NodeRule on some later call
-		// must surface the field-qualified error, not panic mid-run.
-		return runCluster(nodeRule, rn.factory, func() (core.NodeRule, error) {
-			rule, err := rn.instance()
-			if err != nil {
-				return nil, err
-			}
-			return asNodeRule(rule, o.engine)
-		}, start, r, o)
+		return runCluster(nodeRule, rn.factory, start, r, o)
 	default:
 		return nil, fmt.Errorf("sim: unknown engine %v", o.engine)
 	}
