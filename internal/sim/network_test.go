@@ -330,17 +330,16 @@ func TestClusterZeroRunsAgentsKernel(t *testing.T) {
 					name = fmt.Sprintf("%s/p=%d/%s", tc.name, p, model.Name())
 				}
 				t.Run(name, func(t *testing.T) {
-					opts := append([]Option{WithParallelism(p), WithSeed(77)}, tc.opts...)
-					agents, err := NewFactoryRunner(tc.factory, append(opts, WithEngine(EngineAgents))...).
-						Run(context.Background(), tc.start)
+					rn := NewFactoryRunner(tc.factory, append([]Option{WithParallelism(p), WithSeed(77)}, tc.opts...)...)
+					agents, err := rn.With(WithEngine(EngineAgents)).Run(context.Background(), tc.start)
 					if err != nil {
 						t.Fatal(err)
 					}
-					clusterOpts := append(opts, WithEngine(EngineCluster))
+					clusterRn := rn.With(WithEngine(EngineCluster))
 					if model != nil {
-						clusterOpts = append(clusterOpts, WithNetwork(model))
+						clusterRn = clusterRn.With(WithNetwork(model))
 					}
-					cl, err := NewFactoryRunner(tc.factory, clusterOpts...).Run(context.Background(), tc.start)
+					cl, err := clusterRn.Run(context.Background(), tc.start)
 					if err != nil {
 						t.Fatal(err)
 					}
