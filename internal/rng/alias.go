@@ -176,7 +176,8 @@ const keepAll = 1 << 53
 // included), and x < y for an integer x and a real y exactly when
 // x < ⌈y⌉, so the integer compare decides every draw as the float compare
 // would. The ceiling is the truncation, plus one unless y is an integer;
-// both conversions are exact up to 2⁵³.
+// both conversions are exact up to 2⁵³. Against a mask on the float bit
+// patterns, the integer compare saves DrawN a conversion per draw.
 //
 //consensus:hotpath
 func keepThreshold(p float64) uint64 {

@@ -138,8 +138,8 @@ func TestAliasDrawNLargeK(t *testing.T) {
 }
 
 // TestAliasDrawNZeroAllocs: the batched and scalar draws, the column
-// selects (aliasColumn.pick, tallyColumn.pick) and the threshold
-// conversion (keepThreshold) allocate nothing.
+// select (aliasColumn.pick) and the threshold conversion (keepThreshold)
+// allocate nothing.
 func TestAliasDrawNZeroAllocs(t *testing.T) {
 	a := NewAliasCounts([]int{5, 1, 3, 7})
 	r := New(79)
@@ -150,10 +150,9 @@ func TestAliasDrawNZeroAllocs(t *testing.T) {
 	sink := 0
 	if avg := testing.AllocsPerRun(20, func() {
 		c := aliasColumn{keep: keepThreshold(0.3), alias: 2}
-		tc := tallyColumn{keep: 0.3, slot: 1, alias: 2}
-		sink += a.Draw(r) + c.pick(1, r.Uint64()) + int(tc.pick(r.Uint64()))
+		sink += a.Draw(r) + c.pick(1, r.Uint64())
 	}); avg != 0 {
-		t.Fatalf("Draw, the picks and keepThreshold allocate %.2f times, want 0", avg)
+		t.Fatalf("Draw, pick and keepThreshold allocate %.2f times, want 0", avg)
 	}
 	_ = sink
 }
@@ -185,15 +184,14 @@ func TestKeepThreshold(t *testing.T) {
 	}
 }
 
-// TestPickMatchesFloatCompare: both masked selects — Alias's integer
-// threshold and the tally's float bit patterns — take the column's own
-// index exactly when the draw's fraction float64(lo>>11)·2⁻⁵³ is below
-// the keep probability, for fractions on both sides of keep and at it,
-// and for random draws. The tally's keep may exceed 1 (a large column).
+// TestPickMatchesFloatCompare: the masked select takes the column's own
+// index exactly when the draw's fraction float64(lo>>11)·2⁻⁵³ is below the
+// keep probability, for fractions on both sides of the threshold and at
+// it, and for random draws.
 func TestPickMatchesFloatCompare(t *testing.T) {
 	r := New(80)
-	for _, p := range []float64{0, 5e-324, 0x1p-53, 0.3, 1.0 / 3, 0.5, 1 - 0x1p-53, 1, 1.75} {
-		thr := keepThreshold(min(p, 1))
+	for _, p := range []float64{0, 5e-324, 0x1p-53, 0.3, 1.0 / 3, 0.5, 1 - 0x1p-53, 1} {
+		thr := keepThreshold(p)
 		los := []uint64{0, ^uint64(0)}
 		for _, x := range []uint64{thr - 1, thr, thr + 1} {
 			if x < keepAll {
@@ -205,14 +203,8 @@ func TestPickMatchesFloatCompare(t *testing.T) {
 		}
 		for _, lo := range los {
 			below := float64(lo>>11)*0x1p-53 < p
-			if got := (tallyColumn{keep: p, slot: 5, alias: 9}).pick(lo) == 5; got != below {
-				t.Fatalf("tally: keep %g, lo %#x: kept %v, float compare %v", p, lo, got, below)
-			}
-			if p > 1 {
-				continue
-			}
 			if got := (aliasColumn{keep: thr, alias: 9}).pick(5, lo) == 5; got != below {
-				t.Fatalf("alias: keep %g, lo %#x: kept %v, float compare %v", p, lo, got, below)
+				t.Fatalf("keep %g, lo %#x: kept %v, float compare %v", p, lo, got, below)
 			}
 		}
 	}

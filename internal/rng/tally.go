@@ -1,7 +1,6 @@
 package rng
 
 import (
-	"math"
 	"math/bits"
 	"sync"
 )
@@ -97,27 +96,15 @@ func (r *RNG) multinomialTally(n int, probs []float64, total float64, live int, 
 	g := r.pcg
 	for t := 0; t < n; t++ {
 		hi, lo := bits.Mul64(g.next(), k)
-		out[cols[hi].pick(lo)]++
+		c := &cols[hi]
+		slot := c.slot
+		if float64(lo>>11)*0x1p-53 >= c.keep {
+			slot = c.alias
+		}
+		out[slot]++
 	}
 	r.pcg = g
 	tallyPool.Put(s)
-}
-
-// pick returns the slot a draw landing in the column selects, given the
-// low half lo of its multiply: slot when the 53-bit fraction is below
-// keep, else alias. As in aliasColumn.pick the select is a mask, not a
-// branch. The fraction and keep are non-negative floats, which order as
-// their bit patterns do, so the sign of the patterns' difference is the
-// compare. Unlike Alias, the table keeps float keep probabilities: it is
-// rebuilt for at most tallyTrialsPerLive draws per column, and converting
-// each column to an integer threshold cost more in the build than the
-// float compare costs in the draws.
-//
-//consensus:hotpath
-func (c tallyColumn) pick(lo uint64) int32 {
-	x := math.Float64bits(float64(lo>>11) * 0x1p-53)
-	kept := int32(int64(x-math.Float64bits(c.keep)) >> 63) // -1 below keep, else 0
-	return c.alias ^ ((c.slot ^ c.alias) & kept)
 }
 
 // grow sizes the scratch for live slots; a cold path, taken only when a
