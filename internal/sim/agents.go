@@ -75,7 +75,7 @@ func newBehaviorRT(b *behaviors, rule core.NodeRule, factory core.Factory, p int
 			case s == 0 || factory == nil:
 				rt.rules[s][g] = rule
 			default:
-				nr, err := asNodeRule(factory(), e)
+				nr, err := newInstance(factory, e, rule.Samples())
 				if err != nil {
 					return nil, 0, err
 				}

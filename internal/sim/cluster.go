@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 
 	"github.com/ignorecomply/consensus/internal/cluster"
 	"github.com/ignorecomply/consensus/internal/config"
@@ -30,7 +31,8 @@ func WithNetwork(m cluster.Model) Option {
 // the message-passing engine honors the full option set (targets, traces,
 // observers, adversaries, cancellation) like every other engine. Either
 // way every instance is checked like the first: a factory that returns
-// nil or a non-NodeRule on a later call fails the run with an error.
+// nil, a non-NodeRule or a different sample count on a later call fails
+// the run with an error, as does a rule that samples no nodes.
 func runCluster(rule core.NodeRule, factory core.Factory, start *config.Config, r *rng.RNG, o options) (*Result, error) {
 	if o.behaviors != nil {
 		return nil, errors.New("sim: node behaviors need the agents engine")
@@ -39,6 +41,9 @@ func runCluster(rule core.NodeRule, factory core.Factory, start *config.Config, 
 		if err := net.Validate(); err != nil {
 			return nil, err
 		}
+	}
+	if h := rule.Samples(); h < 1 {
+		return nil, fmt.Errorf("sim: rule %q samples %d nodes per round, the cluster engine needs >= 1", rule.Name(), h)
 	}
 	if cluster.Lockstep(o.network) {
 		res, err := runAgents(rule, factory, start, r, o)
@@ -51,7 +56,7 @@ func runCluster(rule core.NodeRule, factory core.Factory, start *config.Config, 
 		}
 		return res, err
 	}
-	newRule := func() (core.NodeRule, error) { return asNodeRule(factory(), o.engine) }
+	newRule := func() (core.NodeRule, error) { return newInstance(factory, o.engine, rule.Samples()) }
 	sys, err := cluster.NewSystem(newRule, start, r, cluster.Options{
 		Model:   o.network,
 		Workers: o.parallelism(start.N()),

@@ -187,39 +187,69 @@ func TestWithNetworkImpliesClusterEngine(t *testing.T) {
 }
 
 // TestClusterFactoryLaterInstanceError: a factory that degrades after its
-// first instantiation — nil, or a rule without per-node semantics — must
-// surface the field-qualified error, not panic mid-run (regression for
-// the bare type assertion in the per-lane factory closure).
+// first instantiation — nil, a rule without per-node semantics, or one
+// that samples a different number of nodes — must surface an error, not
+// panic mid-run (regression for the bare type assertion in the per-lane
+// factory closure), on the agents kernel that zero-latency runs use and on
+// the event path that a Net with delay takes.
 func TestClusterFactoryLaterInstanceError(t *testing.T) {
 	start := config.Balanced(64, 2)
-	for name, later := range map[string]func() core.Rule{
-		"nil":          func() core.Rule { return nil },
-		"non-noderule": func() core.Rule { return rules.NewUndecided() },
+	for model, suffix := range map[cluster.Model]string{
+		nil:                    "",
+		&cluster.Net{Delay: 1}: "-net",
 	} {
-		t.Run(name, func(t *testing.T) {
-			calls := 0
-			factory := func() core.Rule {
-				calls++
-				if calls > 1 {
-					return later()
+		for name, later := range map[string]func() core.Rule{
+			"nil":           func() core.Rule { return nil },
+			"non-noderule":  func() core.Rule { return rules.NewUndecided() },
+			"other-samples": func() core.Rule { return rules.NewHMajority(5) },
+		} {
+			t.Run(name+suffix, func(t *testing.T) {
+				calls := 0
+				factory := func() core.Rule {
+					calls++
+					if calls > 1 {
+						return later()
+					}
+					return rules.NewThreeMajority()
 				}
-				return rules.NewThreeMajority()
-			}
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("degrading factory panicked: %v", r)
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("degrading factory panicked: %v", r)
+					}
+				}()
+				_, err := NewFactoryRunner(factory, WithEngine(EngineCluster),
+					WithNetwork(model), WithParallelism(2), WithSeed(1)).
+					Run(context.Background(), start)
+				if err == nil {
+					t.Fatal("expected an error from the degrading factory")
 				}
-			}()
-			_, err := NewFactoryRunner(factory,
-				WithEngine(EngineCluster), WithParallelism(2), WithSeed(1)).
-				Run(context.Background(), start)
-			if err == nil {
-				t.Fatal("expected an error from the degrading factory")
-			}
-			if name == "non-noderule" && !strings.Contains(err.Error(), "core.NodeRule") {
-				t.Fatalf("error does not name the missing interface: %v", err)
-			}
-		})
+				if name == "non-noderule" && !strings.Contains(err.Error(), "core.NodeRule") {
+					t.Fatalf("error does not name the missing interface: %v", err)
+				}
+				if name == "other-samples" && !strings.Contains(err.Error(), "differing sample counts") {
+					t.Fatalf("error does not name the sample-count mismatch: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// zeroSampleRule is a per-node rule that samples no nodes.
+type zeroSampleRule struct{ *rules.Voter }
+
+func (zeroSampleRule) Samples() int { return 0 }
+
+// TestClusterRejectsZeroSampleRule: a rule that pulls from no node has no
+// message-passing round, on either cluster path.
+func TestClusterRejectsZeroSampleRule(t *testing.T) {
+	for _, model := range []cluster.Model{nil, &cluster.Net{Delay: 1}} {
+		factory := func() core.Rule { return zeroSampleRule{rules.NewVoter()} }
+		_, err := NewFactoryRunner(factory, WithEngine(EngineCluster),
+			WithNetwork(model), WithSeed(1)).
+			Run(context.Background(), config.Balanced(64, 2))
+		if err == nil || !strings.Contains(err.Error(), "samples 0 nodes") {
+			t.Fatalf("model %v: err = %v, want a samples-0 error", model, err)
+		}
 	}
 }
 

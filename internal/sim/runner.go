@@ -289,3 +289,17 @@ func asNodeRule(rule core.Rule, e Engine) (core.NodeRule, error) {
 	}
 	return nr, nil
 }
+
+// newInstance makes a further rule instance for a shard or lane: the
+// factory's rule must have per-node semantics and sample h nodes, as the
+// run's primary instance does, since sample buffers are sized for h.
+func newInstance(factory core.Factory, e Engine, h int) (core.NodeRule, error) {
+	nr, err := asNodeRule(factory(), e)
+	if err != nil {
+		return nil, err
+	}
+	if nr.Samples() != h {
+		return nil, fmt.Errorf("sim: rule factory returned instances with differing sample counts (%d vs %d)", nr.Samples(), h)
+	}
+	return nr, nil
+}

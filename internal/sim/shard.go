@@ -43,7 +43,7 @@ func newShardSetup(rule core.NodeRule, factory core.Factory, p int, e Engine, r 
 			if factory == nil {
 				su.rules[s] = rule
 			} else {
-				nr, err := asNodeRule(factory(), e)
+				nr, err := newInstance(factory, e, su.h)
 				if err != nil {
 					return nil, err
 				}
