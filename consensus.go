@@ -115,7 +115,10 @@ const (
 	EngineBatch = sim.EngineBatch
 	// EngineAgents runs the literal per-node Uniform Pull simulation.
 	EngineAgents = sim.EngineAgents
-	// EngineGraph runs per-node on an interaction topology (WithGraph).
+	// EngineGraph runs per-node on an interaction topology (WithGraph):
+	// a complete graph runs the agents kernel (same run as EngineAgents
+	// at the same seed and parallelism), any other topology pulls
+	// through a neighbor table.
 	EngineGraph = sim.EngineGraph
 	// EngineCluster runs real message passing on the deterministic
 	// discrete-event network engine (see WithNetwork).

@@ -5,19 +5,27 @@ import (
 
 	"github.com/ignorecomply/consensus/internal/config"
 	"github.com/ignorecomply/consensus/internal/core"
+	"github.com/ignorecomply/consensus/internal/graph"
 	"github.com/ignorecomply/consensus/internal/rng"
 )
 
-// agentsState is the engine room of one agents run: the population arrays,
-// the per-round alias table (rebuilt in place — zero steady-state
-// allocations), and, when sharded, the worker pool with per-shard rule
+// agentsState is the engine room of one per-node run — agents, graph and
+// lockstep cluster runs alike: the population arrays, the round's sampling
+// snapshot, and, when sharded, the worker pool with per-shard rule
 // instances, random streams and strided sample buffers.
+//
+// A uniform node pull (agents, lockstep cluster, and the graph engine on a
+// *graph.Complete, whose self-loops make a neighbor pull a node pull) is
+// a categorical color draw from the alias table over the counts, rebuilt
+// in place every round. Any other topology pulls through its neighbor
+// table, against the previous node states.
 type agentsState struct {
 	c     *config.Config
 	nodes []int // current per-node slot assignment
 	next  []int
-	alias *rng.Alias
-	h     int // samples per node (the max over groups when heterogeneous)
+	alias *rng.Alias // uniform node pulls; nil when nb is set
+	nb    *neighbors // sparse topology; nil for uniform node pulls
+	h     int        // samples per node (the max over groups when heterogeneous)
 
 	// Sequential path (p == 1): the run's own stream, chunk buffer and
 	// next-count tally.
@@ -103,10 +111,14 @@ func newAgentsState(rule core.NodeRule, factory core.Factory, start *config.Conf
 		c:     c,
 		nodes: c.Nodes(),
 		next:  make([]int, c.N()),
-		alias: rng.NewAliasCounts(c.CountsView()),
 		h:     rule.Samples(),
 		rule:  rule,
 		r:     r,
+	}
+	if _, complete := o.graph.(*graph.Complete); o.graph == nil || complete {
+		st.alias = rng.NewAliasCounts(c.CountsView())
+	} else {
+		st.nb = newNeighbors(o.graph)
 	}
 	p := o.shardCount(c.N(), factory)
 	if o.behaviors != nil {
@@ -152,21 +164,37 @@ func newAgentsState(rule core.NodeRule, factory core.Factory, start *config.Conf
 }
 
 // agentsShardRound runs one round over the node range [lo, hi): it fills
-// the strided sample buffer one chunk of nodes at a time (a uniform node
-// pull is a categorical color draw, so the batched alias fill is the whole
-// sampling step), applies the per-node updates, and tallies the next-state
-// counts in the same pass.
+// the strided sample buffer one chunk of nodes at a time, applies the
+// per-node updates, and tallies the next-state counts in the same pass. A
+// uniform node pull is a categorical color draw, so one batched alias fill
+// is the whole sampling step; on a regular topology one batched
+// neighbor-index fill is resolved in place. An irregular topology draws
+// one IntN(deg) per sample, in chunks of one node, so that each node's
+// draws come just before its Update's.
 //
 //consensus:hotpath
 func agentsShardRound(st *agentsState, rule core.NodeRule, r *rng.RNG, buf []int, lo, hi int, tally []int) {
 	h := st.h
-	for base := lo; base < hi; base += sampleChunk {
-		end := base + sampleChunk
+	nb := st.nb
+	nodesPerChunk := sampleChunk
+	if nb != nil && nb.d == 0 {
+		nodesPerChunk = 1
+	}
+	for base := lo; base < hi; base += nodesPerChunk {
+		end := base + nodesPerChunk
 		if end > hi {
 			end = hi
 		}
 		chunk := buf[:(end-base)*h]
-		st.alias.DrawN(r, chunk)
+		switch {
+		case nb == nil:
+			st.alias.DrawN(r, chunk)
+		case nb.d > 0:
+			r.FillIntN(nb.d, chunk)
+			nb.resolve(st.nodes, chunk, base, h)
+		default:
+			nb.draw(st.nodes, base, chunk, r)
+		}
 		for i := base; i < end; i++ {
 			samples := chunk[(i-base)*h : (i-base+1)*h]
 			nxt := rule.Update(st.nodes[i], samples, r)
@@ -209,16 +237,19 @@ func agentsShardRoundHetero(st *agentsState, rules []core.NodeRule, r *rng.RNG, 
 	}
 }
 
-// step advances the population by one synchronous round: a uniform node
-// pull is a categorical color draw with probabilities counts/n, so the
-// round's immutable snapshot is the alias table built from the previous
-// configuration; every node (in every shard) samples against it.
+// step advances the population by one synchronous round. Every node (in
+// every shard) samples against an immutable snapshot of the previous
+// round: the alias table rebuilt from the previous configuration (a
+// uniform node pull is a categorical color draw with probabilities
+// counts/n), or, on a sparse topology, the previous node states.
 //
 //consensus:hotpath
 func (st *agentsState) step(round int) {
 	st.round = round
 	counts := st.c.CountsView()
-	st.alias.ResetCounts(counts)
+	if st.alias != nil {
+		st.alias.ResetCounts(counts)
+	}
 	if st.pool == nil {
 		st.tally = resizeInts(st.tally, len(counts))
 		clear(st.tally)
@@ -253,4 +284,63 @@ func runAgents(rule core.NodeRule, factory core.Factory, start *config.Config, r
 		st.step(round)
 		return 1
 	}, func() *config.Config { return st.c }, func() []int { return st.nodes })
+}
+
+// neighbors is a sparse topology flattened once per run, so the round body
+// reads slices only. On a regular graph vertex u's neighbors are
+// adj[u·d : (u+1)·d]; otherwise (d == 0) they are adj[off[u] : off[u+1]].
+type neighbors struct {
+	adj []int
+	off []int // irregular only
+	d   int   // the common degree of a regular graph, else 0
+}
+
+// newNeighbors reads g's adjacency through the graph.Graph interface.
+func newNeighbors(g graph.Graph) *neighbors {
+	n := g.N()
+	nb := &neighbors{off: make([]int, n+1), d: g.Degree(0)}
+	for u := 0; u < n; u++ {
+		deg := g.Degree(u)
+		if deg != nb.d {
+			nb.d = 0
+		}
+		nb.off[u+1] = nb.off[u] + deg
+	}
+	nb.adj = make([]int, nb.off[n])
+	for u := 0; u < n; u++ {
+		row := nb.adj[nb.off[u]:nb.off[u+1]]
+		for i := range row {
+			row[i] = g.Neighbor(u, i)
+		}
+	}
+	if nb.d > 0 {
+		nb.off = nil
+	}
+	return nb
+}
+
+// resolve maps the chunk of nodes from base, filled with neighbor indices
+// in [0, d), to the colors of those neighbors in nodes.
+//
+//consensus:hotpath
+func (nb *neighbors) resolve(nodes, chunk []int, base, h int) {
+	d := nb.d
+	for u := base; len(chunk) > 0; u++ {
+		row := nb.adj[u*d : (u+1)*d]
+		for j, idx := range chunk[:h] {
+			chunk[j] = nodes[row[idx]]
+		}
+		chunk = chunk[h:]
+	}
+}
+
+// draw fills samples with the colors of uniform neighbors of the
+// irregular-graph vertex u, one IntN(deg u) per sample.
+//
+//consensus:hotpath
+func (nb *neighbors) draw(nodes []int, u int, samples []int, r *rng.RNG) {
+	row := nb.adj[nb.off[u]:nb.off[u+1]]
+	for j := range samples {
+		samples[j] = nodes[row[r.IntN(len(row))]]
+	}
 }

@@ -3,10 +3,12 @@ package sim
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/ignorecomply/consensus/internal/config"
 	"github.com/ignorecomply/consensus/internal/core"
+	"github.com/ignorecomply/consensus/internal/graph"
 	"github.com/ignorecomply/consensus/internal/rules"
 )
 
@@ -149,12 +151,13 @@ func TestInvalidLabels(t *testing.T) {
 // Behaviors are an agents-engine feature: every other engine rejects them.
 func TestBehaviorNeedsAgentsEngine(t *testing.T) {
 	start := config.Balanced(100, 4)
-	for _, e := range []Engine{EngineBatch, EngineCluster} {
+	for i, engine := range []Option{WithEngine(EngineBatch), WithEngine(EngineCluster), WithGraph(graph.NewRing(100))} {
 		rn := NewFactoryRunner(threeMajorityFactory,
-			WithEngine(e), WithSeed(1),
+			engine, WithSeed(1),
 			WithNodeBehaviors(blockAssign(100), []NodeBehavior{{}}))
-		if _, err := rn.Run(context.Background(), start); err == nil {
-			t.Fatalf("engine %v accepted node behaviors", e)
+		if _, err := rn.Run(context.Background(), start); err == nil ||
+			!strings.Contains(err.Error(), "node behaviors need the agents engine") {
+			t.Fatalf("engine option %d: err = %v, want the agents-only error", i, err)
 		}
 	}
 	// A malformed assignment is rejected with a population check.

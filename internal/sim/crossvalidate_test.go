@@ -165,9 +165,9 @@ func TestShardedAgentsMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardedGraphMatchesSequential: same check on the graph engine, whose
-// sharded round samples neighbors concurrently from the immutable previous
-// node-state array.
+// TestShardedGraphMatchesSequential: same check on the graph engine on a
+// sparse topology (a random 3-regular graph), whose sharded round samples
+// neighbors concurrently from the immutable previous node-state array.
 func TestShardedGraphMatchesSequential(t *testing.T) {
 	const (
 		n    = 192
@@ -175,8 +175,12 @@ func TestShardedGraphMatchesSequential(t *testing.T) {
 		reps = 80
 	)
 	start := config.Balanced(n, k)
+	g, err := graph.NewRandomRegular(n, 3, rng.New(95))
+	if err != nil {
+		t.Fatal(err)
+	}
 	rn := NewFactoryRunner(func() core.Rule { return rules.NewThreeMajority() },
-		WithGraph(graph.NewComplete(n)))
+		WithGraph(g), WithMaxRounds(20_000))
 	seq := shardedTimes(t, rn.With(WithParallelism(1)), start, reps, 9500)
 	for _, p := range []int{2, 4, 8} {
 		par := shardedTimes(t, rn.With(WithParallelism(p)), start, reps, 9600+uint64(p)*100)

@@ -73,35 +73,86 @@ func TestAgentsSequentialGolden(t *testing.T) {
 	}
 }
 
+// graphGolden pins the p=1 stream of the sparse-topology per-node paths:
+// the ring and torus (regular, batched FillIntN(d) neighbor fill), a
+// random-regular graph (an explicit Adjacency, also batched) and the star
+// (irregular: one IntN(deg) per sample). Interleaved placements (i%k) are
+// not the contiguous blocks WithGraph colors from, so these pins place the
+// nodes directly.
+var graphGolden = []struct {
+	name   string
+	rule   func() core.Rule
+	g      func() graph.Graph
+	k      int
+	seed   uint64
+	rounds int
+	winner int
+	counts []int
+}{
+	{"ring/voter", func() core.Rule { return rules.NewVoter() },
+		func() graph.Graph { return graph.NewRing(60) }, 4, 23, 500, 3, []int{12, 11, 18, 19}},
+	{"torus/3-majority", func() core.Rule { return rules.NewThreeMajority() },
+		func() graph.Graph { return graph.NewTorus(8, 8) }, 3, 29, 500, 0, []int{32, 32, 0}},
+	{"random-regular/3-majority", func() core.Rule { return rules.NewThreeMajority() },
+		func() graph.Graph {
+			g, err := graph.NewRandomRegular(60, 3, rng.New(37))
+			if err != nil {
+				panic(err)
+			}
+			return g
+		}, 4, 41, 180, 2, []int{0, 0, 60, 0}},
+	{"star/lazy-voter", func() core.Rule { return rules.NewLazyVoter(0.5) },
+		func() graph.Graph { return graph.NewStar(301) }, 5, 43, 15, 2, []int{0, 0, 301, 0, 0}},
+}
+
 func TestGraphSequentialGolden(t *testing.T) {
-	// Interleaved placements (i%4, i%3) are not the contiguous blocks
-	// WithGraph colors from, so these pins drive the engine directly.
 	o, err := buildOptions([]Option{WithParallelism(1), WithMaxRounds(500)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ringColors := make([]int, 60)
-	for i := range ringColors {
-		ringColors[i] = i % 4
+	for _, tc := range graphGolden {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g()
+			colors := make([]int, g.N())
+			for i := range colors {
+				colors[i] = i % tc.k
+			}
+			res, err := runGraphPlaced(tc.rule().(core.NodeRule), g, colors, rng.New(tc.seed), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Converged != (tc.rounds < 500) {
+				t.Fatalf("converged = %v after %d rounds; stream changed", res.Converged, res.Rounds)
+			}
+			checkGolden(t, tc.name, res, tc.rounds, tc.winner, tc.counts)
+		})
 	}
-	res, err := runGraph(rules.NewVoter(), nil, graph.NewRing(60), ringColors, rng.New(23), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Converged {
-		t.Fatal("golden ring run converged inside the 500-round budget; stream changed")
-	}
-	checkGolden(t, "ring/voter", res, 500, 3, []int{12, 11, 18, 19})
+}
 
-	torusColors := make([]int, 64)
-	for i := range torusColors {
-		torusColors[i] = i % 3
+// runGraphPlaced runs rule on g from the per-vertex slots colors (labels
+// 0..k-1) on the sequential graph round, through the shared round loop.
+func runGraphPlaced(rule core.NodeRule, g graph.Graph, colors []int, r *rng.RNG, o options) (*Result, error) {
+	var counts []int
+	for _, s := range colors {
+		for s >= len(counts) {
+			counts = append(counts, 0)
+		}
+		counts[s]++
 	}
-	res, err = runGraph(rules.NewThreeMajority(), nil, graph.NewTorus(8, 8), torusColors, rng.New(29), o)
+	start, err := config.New(counts)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	checkGolden(t, "torus/3-majority", res, 500, 0, []int{32, 32, 0})
+	o.graph = g
+	st, err := newAgentsState(rule, nil, start, r, o)
+	if err != nil {
+		return nil, err
+	}
+	copy(st.nodes, colors)
+	return runLoop(st.c, r, o, func(round int) int {
+		st.step(round)
+		return 1
+	}, func() *config.Config { return st.c }, func() []int { return st.nodes })
 }
 
 // TestAgentsAdversarialGolden pins the p=1 stream through the §5
@@ -138,10 +189,14 @@ func checkGolden(t *testing.T, name string, res *Result, rounds, winner int, cou
 // must not be observable.
 func TestShardedFixedSeedFixedPIsBitExact(t *testing.T) {
 	start := config.Balanced(300, 6)
+	rr, err := graph.NewRandomRegular(300, 3, rng.New(98))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range []int{2, 3, 8} {
 		for name, opts := range map[string][]Option{
 			"agents": {WithEngine(EngineAgents)},
-			"graph":  {WithGraph(graph.NewComplete(300))},
+			"graph":  {WithGraph(rr), WithMaxRounds(20_000)},
 		} {
 			rn := NewFactoryRunner(func() core.Rule { return rules.NewThreeMajority() },
 				append([]Option{WithParallelism(p), WithSeed(99), WithTrace(1)}, opts...)...)

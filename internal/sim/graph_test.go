@@ -2,10 +2,14 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/ignorecomply/consensus/internal/adversary"
 	"github.com/ignorecomply/consensus/internal/config"
+	"github.com/ignorecomply/consensus/internal/core"
 	"github.com/ignorecomply/consensus/internal/graph"
 	"github.com/ignorecomply/consensus/internal/rng"
 	"github.com/ignorecomply/consensus/internal/rules"
@@ -73,36 +77,47 @@ func TestBipartiteVoterObstruction(t *testing.T) {
 	}
 }
 
-// TestRunOnGraphCompleteMatchesAgents: on the complete graph the graph and
-// agents engines simulate the same process, so reduction-time means agree.
-func TestRunOnGraphCompleteMatchesAgents(t *testing.T) {
-	const (
-		n      = 128
-		reps   = 40
-		target = 4
-	)
-	r := rng.New(172)
-	g := graph.NewComplete(n)
-	start := config.Singleton(n)
-	var viaGraph, viaAgents []float64
-	for i := 0; i < reps; i++ {
-		rg, err := NewRunner(rules.NewThreeMajority(), WithGraph(g), WithRNG(r), WithTargetColors(target)).
-			Run(context.Background(), start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaGraph = append(viaGraph, float64(rg.Rounds))
-
-		ra, err := NewRunner(rules.NewThreeMajority(), WithEngine(EngineAgents), WithRNG(r), WithTargetColors(target)).
-			Run(context.Background(), start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaAgents = append(viaAgents, float64(ra.Rounds))
+// TestGraphCompleteRunsAgentsKernel: the complete graph has self-loops, so
+// a uniform neighbor pull is a uniform node pull and the graph engine
+// runs it on the agents kernel. At the same seed and shard count the two
+// engines give the same run — rounds, winner, final counts and trace —
+// for 3-Majority and for Voter under an injecting adversary (which grows
+// the slot space mid-run).
+func TestGraphCompleteRunsAgentsKernel(t *testing.T) {
+	voterFactory := func() core.Rule { return rules.NewVoter() }
+	cases := []struct {
+		name    string
+		factory core.Factory
+		start   *config.Config
+		opts    []Option
+	}{
+		{name: "3-majority", factory: threeMajorityFactory, start: config.Balanced(300, 6)},
+		{name: "voter/inject-invalid", factory: voterFactory, start: config.Balanced(120, 3),
+			opts: []Option{WithAdversary(&adversary.InjectInvalid{F: 1}, 0.05, 8), WithMaxRounds(20_000)}},
 	}
-	mg, ma := stats.Mean(viaGraph), stats.Mean(viaAgents)
-	if mg > 1.5*ma+2 || ma > 1.5*mg+2 {
-		t.Fatalf("complete-graph engines disagree: %v vs %v", mg, ma)
+	for _, tc := range cases {
+		for _, p := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/p=%d", tc.name, p), func(t *testing.T) {
+				rn := NewFactoryRunner(tc.factory, append([]Option{WithParallelism(p), WithSeed(78), WithTrace(1)}, tc.opts...)...)
+				agents, err := rn.With(WithEngine(EngineAgents)).Run(context.Background(), tc.start)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := rn.With(WithGraph(graph.NewComplete(tc.start.N()))).Run(context.Background(), tc.start)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.Rounds != agents.Rounds || g.WinnerLabel != agents.WinnerLabel ||
+					!reflect.DeepEqual(g.Final.CountsCopy(), agents.Final.CountsCopy()) {
+					t.Fatalf("graph rounds %d, winner %d, final %v; agents rounds %d, winner %d, final %v",
+						g.Rounds, g.WinnerLabel, g.Final.CountsCopy(),
+						agents.Rounds, agents.WinnerLabel, agents.Final.CountsCopy())
+				}
+				if len(g.Trace) == 0 || !reflect.DeepEqual(g.Trace, agents.Trace) {
+					t.Fatalf("graph and agents traces differ (%d vs %d points)", len(g.Trace), len(agents.Trace))
+				}
+			})
+		}
 	}
 }
 

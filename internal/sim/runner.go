@@ -28,6 +28,10 @@ const (
 	EngineAgents
 	// EngineGraph runs the per-node simulation on an arbitrary
 	// interaction topology (WithGraph); samples are uniform neighbors.
+	// It shares the agents kernel: on a *graph.Complete (self-loops, so a
+	// neighbor pull is a node pull) a run is the agents run at the same
+	// seed and parallelism; any other topology pulls through a neighbor
+	// table built once per run.
 	EngineGraph
 	// EngineCluster runs a real message-passing system on a deterministic
 	// discrete-event network engine: every pull request/response is a
@@ -71,7 +75,8 @@ func WithEngine(e Engine) Option {
 
 // WithGraph runs the process on an interaction topology g and implies
 // EngineGraph. Vertices are colored from the start configuration in slot
-// order (contiguous blocks).
+// order (contiguous blocks), and the final configuration keeps the start's
+// slot layout.
 func WithGraph(g graph.Graph) Option {
 	return optionFunc(func(o *options) { o.graph = g })
 }
@@ -264,7 +269,7 @@ func (rn *Runner) runOnce(start *config.Config, r *rng.RNG, o options) (*Result,
 		if o.graph.N() != start.N() {
 			return nil, fmt.Errorf("sim: graph has %d vertices for %d nodes", o.graph.N(), start.N())
 		}
-		return runGraph(nodeRule, rn.factory, o.graph, graphStartColors(start), r, o)
+		return runAgents(nodeRule, rn.factory, start, r, o)
 	case EngineCluster:
 		if rn.factory == nil {
 			return nil, errors.New("sim: the cluster engine needs a fresh rule per worker lane; use NewFactoryRunner")

@@ -11,6 +11,7 @@ import (
 	"github.com/ignorecomply/consensus/internal/config"
 	"github.com/ignorecomply/consensus/internal/core"
 	"github.com/ignorecomply/consensus/internal/graph"
+	"github.com/ignorecomply/consensus/internal/rng"
 	"github.com/ignorecomply/consensus/internal/rules"
 	"github.com/ignorecomply/consensus/internal/stats"
 )
@@ -56,9 +57,10 @@ type equivFixture struct {
 // equivSuiteDefs enumerates the recorded workloads: every engine whose draw
 // stream the samplers feed (the cluster engine under its zero-latency
 // model among them), with and without the §5 adversary, plus the
-// h-Majority rule on both the batch law and the per-node engine, the
-// batch Voter, 3-Majority and 2-Choices laws from the singleton start, and
-// the batch binomial's two BTRS regimes: means of 10–30 and n = 10⁸.
+// h-Majority rule on both the batch law and the per-node engine, 3-Majority
+// on two sparse topologies, the batch Voter, 3-Majority and 2-Choices laws
+// from the singleton start, and the batch binomial's two BTRS regimes:
+// means of 10–30 and n = 10⁸.
 var equivSuiteDefs = []struct {
 	name string
 	k    int
@@ -101,6 +103,32 @@ var equivSuiteDefs = []struct {
 				WithMaxRounds(5000),
 				WithSeed(44_000+uint64(rep))).
 				Run(context.Background(), config.Balanced(200, 4))
+		},
+	},
+	// Sparse topologies, so the graph engine's neighbor fills stay under
+	// the fixture: the torus (regular, batched) and a random 3-regular
+	// graph (an explicit adjacency). An odd-sided torus: stripes on an
+	// even one can hold forever.
+	{
+		name: "graph/3-majority/torus", k: 3, reps: 120,
+		run: func(rep int) (*Result, error) {
+			return NewRunner(rules.NewThreeMajority(),
+				WithGraph(graph.NewTorus(9, 9)), WithMaxRounds(20_000),
+				WithSeed(56_000+uint64(rep))).
+				Run(context.Background(), config.Balanced(81, 3))
+		},
+	},
+	{
+		name: "graph/3-majority/random-regular", k: 6, reps: 120,
+		run: func(rep int) (*Result, error) {
+			g, err := graph.NewRandomRegular(192, 3, rng.New(57))
+			if err != nil {
+				return nil, err
+			}
+			return NewRunner(rules.NewThreeMajority(),
+				WithGraph(g), WithMaxRounds(20_000),
+				WithSeed(57_000+uint64(rep))).
+				Run(context.Background(), config.Balanced(192, 6))
 		},
 	},
 	{
