@@ -132,20 +132,29 @@ func BenchmarkFullConsensus(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterRound measures the goroutine message-passing runtime.
+// BenchmarkClusterRound measures the cluster engine's event-driven path on
+// the pernode workload's cluster-net cell: 3-Majority from a balanced
+// start at n = 10^4, k = 16 under Net{Delay: 1, Jitter: 2, Loss: 0.05},
+// one worker lane, run to consensus. Each iteration is one whole run, so
+// set-up is included; ns/node-round divides by the rounds it took.
 func BenchmarkClusterRound(b *testing.B) {
-	cfg := consensus.BalancedConfig(256, 8)
+	const n = 10_000
+	cfg := consensus.BalancedConfig(n, 16)
+	runner := consensus.NewFactoryRunner(
+		func() consensus.Rule { return consensus.NewThreeMajority() },
+		consensus.WithNetwork(&consensus.Network{Delay: 1, Jitter: 2, Loss: 0.05}),
+		consensus.WithParallelism(1),
+		consensus.WithSeed(21))
 	b.ReportAllocs()
+	rounds := 0
 	for i := 0; i < b.N; i++ {
-		runner := consensus.NewFactoryRunner(
-			func() consensus.Rule { return consensus.NewThreeMajority() },
-			consensus.WithEngine(consensus.EngineCluster),
-			consensus.WithSeed(uint64(i)),
-			consensus.WithMaxRounds(1))
-		if _, err := runner.Run(context.Background(), cfg); err != nil {
+		res, err := runner.Run(context.Background(), cfg)
+		if err != nil {
 			b.Fatal(err)
 		}
+		rounds += res.Rounds
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds)/n, "ns/node-round")
 }
 
 // BenchmarkAblationLaziness contrasts plain Voter against the [BGKMT16]

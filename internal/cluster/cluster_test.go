@@ -334,20 +334,24 @@ func TestSystemZeroSteadyStateAllocs(t *testing.T) {
 // are answered by serve and deliver, every delayed or retried leg is
 // scheduled through emit, and applyLane folds the lanes at the tick
 // barrier. Delay, jitter and loss together force every one of those
-// //consensus:hotpath functions onto the measured path.
+// //consensus:hotpath functions onto the measured path. One worker
+// emits straight into the queue; two defer their events to the barrier's
+// merge, so both lane paths are measured.
 func TestEventRoundZeroSteadyStateAllocs(t *testing.T) {
-	sys, err := NewSystem(okFactory(func() core.NodeRule { return rules.NewThreeMajority() }),
-		config.Balanced(1024, 4), rng.New(211),
-		Options{Model: &Net{Delay: 2, Jitter: 1, Loss: 0.05, Retry: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	for i := 0; i < 30; i++ {
-		sys.Step() // grow buckets and lane buffers to steady state
-	}
-	if avg := testing.AllocsPerRun(20, func() { sys.Step() }); avg != 0 {
-		t.Errorf("event-driven Step allocates %.2f times, want 0", avg)
+	for _, workers := range []int{1, 2} {
+		sys, err := NewSystem(okFactory(func() core.NodeRule { return rules.NewThreeMajority() }),
+			config.Balanced(1024, 4), rng.New(211),
+			Options{Model: &Net{Delay: 2, Jitter: 1, Loss: 0.05, Retry: 3}, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 30; i++ {
+			sys.Step() // grow buckets and lane buffers to steady state
+		}
+		if avg := testing.AllocsPerRun(20, func() { sys.Step() }); avg != 0 {
+			t.Errorf("workers = %d: event-driven Step allocates %.2f times, want 0", workers, avg)
+		}
+		sys.Close()
 	}
 }
 

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"github.com/ignorecomply/consensus/internal/rng"
@@ -209,5 +211,70 @@ func TestConstructorPanics(t *testing.T) {
 			}()
 			tt.fn()
 		})
+	}
+}
+
+// randomRegularDigest hashes what NewRandomRegular(n, d, ·) returns for
+// each of seeds 1..5 — every adjacency list in order, or the error text —
+// together with the stream's next draw after the call, which pins how
+// many draws the call consumed.
+func randomRegularDigest(n, d int) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	word := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	for seed := uint64(1); seed <= 5; seed++ {
+		r := rng.New(seed)
+		g, err := NewRandomRegular(n, d, r)
+		if err != nil {
+			h.Write([]byte(err.Error()))
+		} else {
+			for u := 0; u < g.N(); u++ {
+				word(uint64(g.Degree(u)))
+				for i := 0; i < g.Degree(u); i++ {
+					word(uint64(g.Neighbor(u, i)))
+				}
+			}
+		}
+		word(r.Uint64())
+	}
+	return h.Sum64()
+}
+
+// TestRandomRegularGolden pins NewRandomRegular by value: its adjacency
+// lists, its errors and its random-stream consumption over a grid of
+// sizes and degrees, including a degree no attempt can realise (n = 20,
+// d = 8 succeeds with probability about 1e-9 per attempt), which runs the
+// whole attempt budget. Any change here changes every random-regular
+// graph the engines and experiments draw.
+func TestRandomRegularGolden(t *testing.T) {
+	want := map[[2]int]uint64{
+		{10, 2}: 0xfaea2ec1f32b4327, {10, 3}: 0x6ebb9b4d105ac1a0,
+		{10, 4}: 0x49c58757fd331b6c, {10, 5}: 0x15d6bdf8868f53bd,
+		{64, 2}: 0x1bd585984b7baa14, {64, 3}: 0x657bc5fd6701d346,
+		{64, 4}: 0x8458aaecb14328e6, {64, 5}: 0x1e643e3cc7604e7a,
+		{1000, 2}: 0x9713d9f84eb5057d, {1000, 3}: 0xfc1f82ed12d6f5a4,
+		{1000, 4}: 0xf5c458e9e3f793c,
+		{20, 8}:   0x40ca1e91aa1de7fd, // every attempt fails
+		{7, 3}:    0xaa404db76f725728, // n·d odd: rejected before any draw
+	}
+	for key, w := range want {
+		if got := randomRegularDigest(key[0], key[1]); got != w {
+			t.Errorf("n = %d, d = %d: digest %#x, want %#x", key[0], key[1], got, w)
+		}
+	}
+}
+
+// BenchmarkNewRandomRegular draws the pernode workload's random 3-regular
+// graph on 10^4 vertices, rejection restarts included.
+func BenchmarkNewRandomRegular(b *testing.B) {
+	r := rng.New(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewRandomRegular(10_000, 3, r); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

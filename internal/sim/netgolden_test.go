@@ -53,7 +53,13 @@ var netGoldenDefs = []struct {
 		Partitions: []cluster.Partition{{From: 0, Until: 6, Groups: 2}}}, 3, 104},
 	{"2-choices/delay-loss", func() core.Rule { return rules.NewTwoChoices() },
 		&cluster.Net{Delay: 2, Loss: 0.2}, 2, 105},
+	// Long horizons: events land up to 40 ticks ahead (delay + jitter 35,
+	// retry 40), so the event queue's span grows and wraps many times.
+	{"3-majority/long-horizon", threeMajority, longHorizon, 1, 106},
+	{"3-majority/long-horizon-p2", threeMajority, longHorizon, 2, 107},
 }
+
+var longHorizon = &cluster.Net{Delay: 20, Jitter: 15, Loss: 0.1, Retry: 40}
 
 func threeMajority() core.Rule { return rules.NewThreeMajority() }
 
