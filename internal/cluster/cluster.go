@@ -3,8 +3,8 @@
 // request and response an explicit message — executed by a deterministic
 // discrete-event network engine instead of a goroutine per node.
 //
-// A virtual-time scheduler (a binary heap of tick buckets, events ordered
-// by (deliverAt, seq)) multiplexes all nodes over a fixed worker pool. A
+// A virtual-time scheduler (a ring of tick buckets, events ordered by
+// (deliverAt, seq)) multiplexes all nodes over a fixed worker pool. A
 // pluggable Model shapes delivery: the default Zero model delivers every
 // leg instantly, which makes every node complete exactly one round per
 // tick — the paper's synchronous rounds, cross-validated distributionally
@@ -69,8 +69,10 @@ type timedEvent struct {
 
 // lane is the per-worker execution state: a random stream and rule
 // instance of its own, and out-buffers for deferred events and staged
-// updates. The coordinator owns one extra lane (direct = true) whose
-// events skip the defer buffer and enter the queue immediately.
+// updates. The coordinator owns one extra lane whose events skip the
+// defer buffer and enter the queue immediately (direct = true), and so
+// does the single worker lane of a one-worker system, which runs inline
+// on the coordinator's goroutine.
 type lane struct {
 	stream   *rng.RNG
 	rule     core.NodeRule
@@ -99,8 +101,7 @@ type System struct {
 	got     []int32 // samples collected in each node's current round
 	samples []int   // n·h strided sample buffer
 
-	queue     eventQueue
-	curBucket *bucket
+	queue eventQueue
 
 	p        int
 	lanes    []lane // p worker lanes + the coordinator lane at index p
@@ -177,7 +178,7 @@ func NewSystem(factory func() (core.NodeRule, error), start *config.Config, base
 		s.lanes[li] = lane{
 			stream: base.Derive(uint64(li)),
 			rule:   rule,
-			direct: li == p,
+			direct: li == p || p == 1,
 		}
 	}
 	s.samples = make([]int, n*s.h)
@@ -235,7 +236,6 @@ func (s *System) Step() {
 // writes, the discrete-event generalization of the synchronous round.
 func (s *System) processBucket(b *bucket) {
 	s.now = b.at
-	s.curBucket = b
 	coord := &s.lanes[s.p]
 	// Phase 1: deliver. Same-tick follow-ups (a zero-latency response to
 	// a delivered request) append to the bucket and are drained in order.
@@ -272,7 +272,6 @@ func (s *System) processBucket(b *bucket) {
 	for w := 0; w < s.p; w++ {
 		s.applyLane(&s.lanes[w])
 	}
-	s.curBucket = nil
 	s.queue.release(b)
 }
 
@@ -355,19 +354,18 @@ func (s *System) deliver(ln *lane, req, color int32) {
 	}
 }
 
-// emit schedules an event: worker lanes defer to their out-buffer (their
-// events are always for future ticks), the coordinator lane appends
-// directly — into the bucket being processed when the event is due this
-// tick.
+// emit schedules an event. Direct lanes append to the queue at once —
+// the coordinator's same-tick follow-ups land in the bucket being
+// processed. Pool workers defer to their out-buffer, merged at the tick
+// barrier in lane order. A one-worker system's lane emits directly: it
+// runs after the coordinator's deliveries and before the barrier on the
+// same goroutine, and its events are always for future ticks, so the
+// queue receives them in the order a deferred merge would append them.
 //
 //consensus:hotpath
 func (s *System) emit(ln *lane, at int64, ev event) {
 	if !ln.direct {
 		ln.deferred = append(ln.deferred, timedEvent{at: at, ev: ev})
-		return
-	}
-	if at == s.now {
-		s.curBucket.events = append(s.curBucket.events, ev)
 		return
 	}
 	b := s.queue.bucketAt(at)

@@ -1,16 +1,20 @@
 package cluster
 
-// The virtual-time event queue: a binary min-heap of tick buckets. Every
-// pending event is keyed by (deliverAt, seq) — deliverAt picks the bucket,
-// and seq is the order events were appended to it, so processing a bucket
-// front to back processes events in exactly (deliverAt, seq) order. Since
-// every append happens at a deterministic point of the engine's schedule,
-// delivery order is a pure function of the seed, never of goroutine
-// timing.
+// The virtual-time event queue: a calendar queue with one-tick days
+// (Brown, 1988). A ring of buckets, whose length is a power of two, holds
+// tick t's events in slot t mod len. Every pending event is keyed by
+// (deliverAt, seq) — deliverAt picks the slot, and seq is the order events
+// were appended to it, so processing a bucket front to back processes
+// events in exactly (deliverAt, seq) order. Since every append happens at
+// a deterministic point of the engine's schedule, delivery order is a pure
+// function of the seed, never of goroutine timing.
 //
-// Buckets are recycled through a free list: a steady-state lockstep round
-// touches exactly two buckets (the tick being processed and the next
-// round's wake bucket) and allocates nothing.
+// Pending ticks always lie in [cur, cur+len), where cur is the tick last
+// taken by pop: an event scheduled beyond that span doubles the ring
+// (a Model's latencies are unbounded, so the span is learned, not
+// declared). pop scans forward from cur to the first non-empty slot. A
+// processed bucket stays in its slot with its slices' capacity, so a
+// steady-state round allocates nothing.
 
 // event is one pending network delivery.
 type event struct {
@@ -34,94 +38,76 @@ const (
 // bucket holds everything scheduled for one tick: network events for the
 // coordinator and round-start wakes for the worker lanes.
 type bucket struct {
-	at     int64
+	at     int64 // the tick, set when pop hands the bucket out
 	events []event
 	wakes  []int32
 }
 
-// eventQueue is the min-heap of buckets, with a by-tick index so that
-// scheduling into an existing tick is O(1).
+// initialSpan is the ring's starting length: enough for the one-tick
+// wakes of every model and the short delays of common ones.
+const initialSpan = 4
+
+// eventQueue is the ring of tick buckets.
 type eventQueue struct {
-	heap   []*bucket
-	byTick map[int64]*bucket
-	free   []*bucket
+	ring []*bucket // ring[t&mask] holds tick t's bucket for t in [cur, cur+len)
+	mask int64
+	cur  int64
 }
 
 func newEventQueue() eventQueue {
-	return eventQueue{byTick: make(map[int64]*bucket)}
+	q := eventQueue{}
+	q.grow(0)
+	return q
 }
 
-// bucketAt returns the bucket for tick t, creating (or recycling) it if
-// none is pending.
+// bucketAt returns the bucket for tick t >= cur, doubling the ring first
+// when t lies beyond its span.
 func (q *eventQueue) bucketAt(t int64) *bucket {
-	if b, ok := q.byTick[t]; ok {
-		return b
+	if t-q.cur >= int64(len(q.ring)) {
+		q.grow(t - q.cur)
 	}
-	var b *bucket
-	if len(q.free) > 0 {
-		b = q.free[len(q.free)-1]
-		q.free = q.free[:len(q.free)-1]
-	} else {
-		b = &bucket{}
-	}
-	b.at = t
-	q.byTick[t] = b
-	q.heap = append(q.heap, b)
-	q.up(len(q.heap) - 1)
-	return b
+	return q.ring[t&q.mask]
 }
 
-// pop removes and returns the earliest bucket, or nil when empty.
+// pop returns the earliest non-empty bucket, or nil when nothing is
+// pending. The bucket stays in its slot; release empties it once
+// processed.
 func (q *eventQueue) pop() *bucket {
-	if len(q.heap) == 0 {
-		return nil
+	for t := q.cur; t < q.cur+int64(len(q.ring)); t++ {
+		if b := q.ring[t&q.mask]; len(b.events) > 0 || len(b.wakes) > 0 {
+			q.cur, b.at = t, t
+			return b
+		}
 	}
-	b := q.heap[0]
-	last := len(q.heap) - 1
-	q.heap[0] = q.heap[last]
-	q.heap[last] = nil
-	q.heap = q.heap[:last]
-	if last > 0 {
-		q.down(0)
-	}
-	delete(q.byTick, b.at)
-	return b
+	return nil
 }
 
-// release returns a processed bucket to the free list, keeping its slice
-// capacity for reuse.
+// release empties a processed bucket, keeping its slice capacity for the
+// tick that next maps to its slot.
 func (q *eventQueue) release(b *bucket) {
 	b.events = b.events[:0]
 	b.wakes = b.wakes[:0]
-	q.free = append(q.free, b)
 }
 
-func (q *eventQueue) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if q.heap[parent].at <= q.heap[i].at {
-			return
-		}
-		q.heap[parent], q.heap[i] = q.heap[i], q.heap[parent]
-		i = parent
+// grow doubles the ring until it spans ticks cur..cur+span, moving every
+// bucket to its tick's slot in the longer ring and filling the new slots
+// with fresh buckets.
+func (q *eventQueue) grow(span int64) {
+	size := max(len(q.ring), initialSpan)
+	for int64(size) <= span {
+		size *= 2
 	}
-}
-
-func (q *eventQueue) down(i int) {
-	n := len(q.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && q.heap[l].at < q.heap[min].at {
-			min = l
-		}
-		if r < n && q.heap[r].at < q.heap[min].at {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		q.heap[i], q.heap[min] = q.heap[min], q.heap[i]
-		i = min
+	ring := make([]*bucket, size)
+	mask := int64(size - 1)
+	for t := q.cur; t < q.cur+int64(len(q.ring)); t++ {
+		ring[t&mask] = q.ring[t&q.mask]
 	}
+	fresh := make([]bucket, size-len(q.ring))
+	for i := range ring {
+		if ring[i] == nil {
+			ring[i] = &fresh[0]
+			fresh = fresh[1:]
+		}
+	}
+	q.ring, q.mask = ring, mask
 }

@@ -178,8 +178,15 @@ func (g *Adjacency) Neighbor(u, i int) int { return g.adj[u][i] }
 
 // NewRandomRegular samples a simple d-regular graph on n vertices via the
 // configuration (pairing) model with rejection of self-loops and multi-edges.
-// n*d must be even and d < n. For small d the expected number of retries is
-// O(1); the attempt budget makes failure explicit rather than unbounded.
+// n*d must be even and d < n. Each attempt shuffles the n·d stubs and pairs
+// them in order; an attempt succeeds with probability about
+// exp(-(d²-1)/4), so for small d the expected number of attempts is O(1),
+// and the attempt budget makes failure explicit rather than unbounded.
+//
+// An attempt allocates nothing: neighbours are placed into one flat n·d
+// array reused across attempts, and a multi-edge is caught by scanning
+// the at most d neighbours already placed for one endpoint. The returned
+// graph's lists are windows of that array, in pairing order.
 func NewRandomRegular(n, d int, r *rng.RNG) (*Adjacency, error) {
 	if d <= 0 || d >= n {
 		return nil, fmt.Errorf("graph: invalid degree %d for n = %d", d, n)
@@ -189,34 +196,47 @@ func NewRandomRegular(n, d int, r *rng.RNG) (*Adjacency, error) {
 	}
 	const maxAttempts = 500
 	stubs := make([]int, n*d)
+	swap := func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] }
+	nb := make([]int, n*d) // vertex u's neighbours fill nb[u*d : u*d+deg[u]]
+	deg := make([]int, n)
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		for i := range stubs {
 			stubs[i] = i / d
 		}
-		r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-		adj := make([][]int, n)
-		simple := true
-		seen := make(map[[2]int]struct{}, n*d/2)
-		for i := 0; i < len(stubs); i += 2 {
-			u, v := stubs[i], stubs[i+1]
-			if u == v {
-				simple = false
-				break
+		r.Shuffle(len(stubs), swap)
+		clear(deg)
+		if pairStubs(stubs, nb, deg, d) {
+			adj := make([][]int, n)
+			for u := range adj {
+				adj[u] = nb[u*d : (u+1)*d : (u+1)*d]
 			}
-			key := [2]int{min(u, v), max(u, v)}
-			if _, dup := seen[key]; dup {
-				simple = false
-				break
-			}
-			seen[key] = struct{}{}
-			adj[u] = append(adj[u], v)
-			adj[v] = append(adj[v], u)
-		}
-		if simple {
-			return NewAdjacency(adj)
+			return &Adjacency{adj: adj}, nil
 		}
 	}
 	return nil, fmt.Errorf("graph: failed to sample a simple %d-regular graph on %d vertices", d, n)
+}
+
+// pairStubs joins consecutive stubs into edges, recording each in both
+// endpoints' rows of nb, and reports false at the first self-loop or
+// repeated edge.
+func pairStubs(stubs, nb, deg []int, d int) bool {
+	for i := 0; i < len(stubs); i += 2 {
+		u, v := stubs[i], stubs[i+1]
+		if u == v {
+			return false
+		}
+		row := nb[u*d : u*d+deg[u]]
+		for _, w := range row {
+			if w == v {
+				return false
+			}
+		}
+		nb[u*d+deg[u]] = v
+		deg[u]++
+		nb[v*d+deg[v]] = u
+		deg[v]++
+	}
+	return true
 }
 
 // IsConnected reports whether g is connected (BFS from vertex 0).

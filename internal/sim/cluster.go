@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/ignorecomply/consensus/internal/cluster"
@@ -34,9 +33,6 @@ func WithNetwork(m cluster.Model) Option {
 // nil, a non-NodeRule or a different sample count on a later call fails
 // the run with an error, as does a rule that samples no nodes.
 func runCluster(rule core.NodeRule, factory core.Factory, start *config.Config, r *rng.RNG, o options) (*Result, error) {
-	if o.behaviors != nil {
-		return nil, errors.New("sim: node behaviors need the agents engine")
-	}
 	if net, ok := o.network.(*cluster.Net); ok {
 		if err := net.Validate(); err != nil {
 			return nil, err

@@ -343,9 +343,6 @@ func (f *ffController) safe(x []float64, e, eps, floor float64) bool {
 
 // runHybrid drives a hybrid run through the shared round loop.
 func runHybrid(rule core.Rule, start *config.Config, r *rng.RNG, o options) (*Result, error) {
-	if o.behaviors != nil {
-		return nil, errors.New("sim: node behaviors need the agents engine")
-	}
 	c := start.Clone()
 	ctl := newFFController(rule, c, r, o)
 	res, err := runLoop(c, r, o, ctl.step, func() *config.Config { return c }, nil)
