@@ -252,7 +252,8 @@ func (s *System) processBucket(b *bucket) {
 	}
 	// Phase 2: round-starts, sharded over the worker pool. Workers read
 	// the immutable color snapshot and write only their own nodes' sample
-	// state and their own lane.
+	// state and their own lane (a single lane, run inline, also emits into
+	// the queue).
 	if len(b.wakes) > 0 {
 		if s.p == 1 {
 			s.runWakes(&s.lanes[0], b.wakes)
