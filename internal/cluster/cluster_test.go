@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -226,6 +227,53 @@ func TestSystemDeterministic(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSystemLargeLatency: the queue's memory follows pending events, not
+// the model's largest latency. With no jitter and no loss every leg takes
+// exactly Delay ticks and draws nothing, so a run is the same for every
+// Delay >= 1: Delay 2^40 — every event far beyond the ring, time jumping
+// from leg to leg — must reproduce Delay 1 node for node, with the ring
+// at most maxSpan slots and the far buckets at most one per pending leg.
+func TestSystemLargeLatency(t *testing.T) {
+	const n, h, steps = 300, 3, 8
+	run := func(t *testing.T, model Model, workers int) ([]int, int64, *System) {
+		sys, err := NewSystem(okFactory(func() core.NodeRule { return rules.NewThreeMajority() }),
+			config.Balanced(n, 6), rng.New(991), Options{Model: model, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sys.Close)
+		for i := 0; i < steps; i++ {
+			sys.Step()
+		}
+		return append([]int(nil), sys.Colors()...), sys.Messages(), sys
+	}
+	checkQueue := func(t *testing.T, q *eventQueue) {
+		if len(q.ring) > maxSpan {
+			t.Errorf("ring of %d slots, want <= %d", len(q.ring), maxSpan)
+		}
+		if k := len(q.far) + len(q.spare); k > n*h {
+			t.Errorf("%d far and spare buckets, want <= %d (one per pending leg)", k, n*h)
+		}
+	}
+	for _, p := range []int{1, 2} {
+		t.Run(fmt.Sprint("p", p), func(t *testing.T) {
+			want, wantMsgs, _ := run(t, &Net{Delay: 1}, p)
+			got, gotMsgs, sys := run(t, &Net{Delay: 1 << 40}, p)
+			if gotMsgs != wantMsgs || !reflect.DeepEqual(got, want) {
+				t.Fatalf("Delay 2^40 diverges from Delay 1: messages %d vs %d", gotMsgs, wantMsgs)
+			}
+			if sys.now < 2*steps<<40 {
+				t.Fatalf("tick %d after %d rounds of two 2^40-tick legs", sys.now, steps)
+			}
+			checkQueue(t, &sys.queue)
+		})
+	}
+	t.Run("jitter-loss-retry", func(t *testing.T) {
+		_, _, sys := run(t, &Net{Delay: 1 << 40, Jitter: 1 << 30, Loss: 0.1, Retry: 1 << 41}, 2)
+		checkQueue(t, &sys.queue)
+	})
 }
 
 // TestSystemLossyStillConverges: i.i.d. loss with pull retry must not

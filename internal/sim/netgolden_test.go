@@ -57,7 +57,16 @@ var netGoldenDefs = []struct {
 	// retry 40), so the event queue's span grows and wraps many times.
 	{"3-majority/long-horizon", threeMajority, longHorizon, 1, 106},
 	{"3-majority/long-horizon-p2", threeMajority, longHorizon, 2, 107},
+	// Beyond the ring: events land up to 1500 ticks ahead, past the
+	// queue's 1024-slot ring, and take the far path; a 2^40-tick delay
+	// leaves the ring empty between legs, so time jumps from leg to leg.
+	{"3-majority/beyond-ring", threeMajority, beyondRing, 1, 108},
+	{"3-majority/beyond-ring-p2", threeMajority, beyondRing, 2, 109},
+	{"3-majority/huge-delay", threeMajority,
+		&cluster.Net{Delay: 1 << 40, Jitter: 1 << 12, Loss: 0.05, Retry: 1 << 41}, 2, 110},
 }
+
+var beyondRing = &cluster.Net{Delay: 700, Jitter: 800, Loss: 0.1, Retry: 1100}
 
 var longHorizon = &cluster.Net{Delay: 20, Jitter: 15, Loss: 0.1, Retry: 40}
 
