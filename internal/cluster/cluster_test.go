@@ -230,11 +230,17 @@ func TestSystemDeterministic(t *testing.T) {
 }
 
 // TestSystemLargeLatency: the queue's memory follows pending events, not
-// the model's largest latency. With no jitter and no loss every leg takes
-// exactly Delay ticks and draws nothing, so a run is the same for every
-// Delay >= 1: Delay 2^40 — every event far beyond the ring, time jumping
-// from leg to leg — must reproduce Delay 1 node for node, with the ring
-// at most maxSpan slots and the far buckets at most one per pending leg.
+// the model's largest latency, and virtual time may wrap around int64.
+// With no jitter and no loss every leg takes exactly Delay ticks and
+// draws nothing, so a run is the same for every Delay >= 1: Delay 2^40 —
+// every event far beyond the ring, time jumping from leg to leg — and
+// Delay 2^61-1, whose run passes a few ticks below MaxInt64 and wraps,
+// must reproduce Delay 1 node for node.
+// With Retry = Delay and jitter far below Delay, an event's tick is its
+// count of legs and retries times Delay plus a small remainder, so events
+// order the same for any such Delay: 2^61-1 must reproduce 2^40, with many
+// far ticks pending across the wrap. The ring stays at most maxSpan slots
+// and the far buckets at most one per pending leg.
 func TestSystemLargeLatency(t *testing.T) {
 	const n, h, steps = 300, 3, 8
 	run := func(t *testing.T, model Model, workers int) ([]int, int64, *System) {
@@ -249,31 +255,38 @@ func TestSystemLargeLatency(t *testing.T) {
 		}
 		return append([]int(nil), sys.Colors()...), sys.Messages(), sys
 	}
-	checkQueue := func(t *testing.T, q *eventQueue) {
-		if len(q.ring) > maxSpan {
-			t.Errorf("ring of %d slots, want <= %d", len(q.ring), maxSpan)
-		}
-		if k := len(q.far) + len(q.spare); k > n*h {
-			t.Errorf("%d far and spare buckets, want <= %d (one per pending leg)", k, n*h)
-		}
+	lossy := func(delay int64) *Net { return &Net{Delay: delay, Jitter: 3000, Loss: 0.1, Retry: delay} }
+	cases := []struct {
+		name       string
+		ref, model *Net
+	}{
+		{"delay-2^40", &Net{Delay: 1}, &Net{Delay: 1 << 40}},
+		{"delay-2^61-1", &Net{Delay: 1}, &Net{Delay: 1<<61 - 1}},
+		{"jitter-loss-2^61-1", lossy(1 << 40), lossy(1<<61 - 1)},
 	}
 	for _, p := range []int{1, 2} {
-		t.Run(fmt.Sprint("p", p), func(t *testing.T) {
-			want, wantMsgs, _ := run(t, &Net{Delay: 1}, p)
-			got, gotMsgs, sys := run(t, &Net{Delay: 1 << 40}, p)
-			if gotMsgs != wantMsgs || !reflect.DeepEqual(got, want) {
-				t.Fatalf("Delay 2^40 diverges from Delay 1: messages %d vs %d", gotMsgs, wantMsgs)
-			}
-			if sys.now < 2*steps<<40 {
-				t.Fatalf("tick %d after %d rounds of two 2^40-tick legs", sys.now, steps)
-			}
-			checkQueue(t, &sys.queue)
-		})
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("p%d/%s", p, c.name), func(t *testing.T) {
+				want, wantMsgs, _ := run(t, c.ref, p)
+				got, gotMsgs, sys := run(t, c.model, p)
+				if gotMsgs != wantMsgs || !reflect.DeepEqual(got, want) {
+					t.Fatalf("diverges from its reference: messages %d vs %d", gotMsgs, wantMsgs)
+				}
+				// A lockstep round takes two legs and the wake tick; the
+				// last ends one tick before its successor's wake.
+				d := uint64(c.model.Delay)
+				if ticks := steps*(2*d+1) - 1; c.ref.Delay == 1 && uint64(sys.now) != ticks {
+					t.Errorf("tick %d after %d rounds of two %d-tick legs, want %d", sys.now, steps, d, int64(ticks))
+				}
+				if len(sys.queue.ring) > maxSpan {
+					t.Errorf("ring of %d slots, want <= %d", len(sys.queue.ring), maxSpan)
+				}
+				if k := len(sys.queue.far) + len(sys.queue.spare); k > n*h {
+					t.Errorf("%d far and spare buckets, want <= %d (one per pending leg)", k, n*h)
+				}
+			})
+		}
 	}
-	t.Run("jitter-loss-retry", func(t *testing.T) {
-		_, _, sys := run(t, &Net{Delay: 1 << 40, Jitter: 1 << 30, Loss: 0.1, Retry: 1 << 41}, 2)
-		checkQueue(t, &sys.queue)
-	})
 }
 
 // TestSystemLossyStillConverges: i.i.d. loss with pull retry must not

@@ -21,6 +21,10 @@ package cluster
 // the first non-empty slot, or jumps to the earliest far tick when the
 // ring is empty. A processed bucket stays in its slot with its slices'
 // capacity, so a steady-state round allocates nothing.
+//
+// Ticks are compared only by their distance from cur, which a latency
+// (an int64 >= 0) keeps in [0, 2^63): virtual time may wrap around int64
+// without reordering a single event.
 
 // event is one pending network delivery.
 type event struct {
@@ -94,7 +98,7 @@ func (q *eventQueue) farAt(t int64) *bucket {
 	}
 	lo, hi := 0, len(q.far)
 	for lo < hi {
-		if mid := (lo + hi) / 2; q.far[mid].at < t {
+		if mid := (lo + hi) / 2; q.far[mid].at-q.cur < t-q.cur {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -120,13 +124,14 @@ func (q *eventQueue) farAt(t int64) *bucket {
 // pending. The bucket stays in its slot; release empties it once
 // processed.
 func (q *eventQueue) pop() *bucket {
-	t, end := q.cur, q.cur+int64(len(q.ring))
-	for ; t < end; t++ {
-		if b := q.ring[t&q.mask]; len(b.events) > 0 || len(b.wakes) > 0 {
+	d := int64(0)
+	for ; d < int64(len(q.ring)); d++ {
+		if b := q.ring[(q.cur+d)&q.mask]; len(b.events) > 0 || len(b.wakes) > 0 {
 			break
 		}
 	}
-	if t == end {
+	t := q.cur + d
+	if d == int64(len(q.ring)) {
 		if len(q.far) == 0 {
 			return nil
 		}
@@ -170,7 +175,8 @@ func (q *eventQueue) grow(span int64) {
 	}
 	ring := make([]*bucket, size)
 	mask := int64(size - 1)
-	for t := q.cur; t < q.cur+int64(len(q.ring)); t++ {
+	for d := int64(0); d < int64(len(q.ring)); d++ {
+		t := q.cur + d
 		ring[t&mask] = q.ring[t&q.mask]
 	}
 	fresh := make([]bucket, size-len(q.ring))
