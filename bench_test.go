@@ -132,6 +132,32 @@ func BenchmarkFullConsensus(b *testing.B) {
 	}
 }
 
+// BenchmarkBatchRunSingleton measures one sep-3m cell of the paper-batch
+// workload: 3-Majority on the batch engine from Singleton(2^14), run to
+// consensus under the cell's 16·√n round cap. Each iteration is one whole
+// run, so the round loop's set-up from n initial colors is included.
+func BenchmarkBatchRunSingleton(b *testing.B) {
+	const n = 1 << 14
+	cfg := consensus.SingletonConfig(n)
+	runner := consensus.NewRunner(consensus.NewThreeMajority(),
+		consensus.WithEngine(consensus.EngineBatch),
+		consensus.WithMaxRounds(16*128),
+		consensus.WithSeed(6))
+	b.ReportAllocs()
+	rounds := 0
+	for i := 0; i < b.N; i++ {
+		res, err := runner.Run(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Converged {
+			b.Fatal("no consensus within the cell's round cap")
+		}
+		rounds += res.Rounds
+	}
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/run")
+}
+
 // BenchmarkClusterRound measures the cluster engine's event-driven path on
 // the pernode workload's cluster-net cell: 3-Majority from a balanced
 // start at n = 10^4, k = 16 under Net{Delay: 1, Jitter: 2, Loss: 0.05},
