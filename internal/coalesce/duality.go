@@ -46,25 +46,36 @@ func (tb *Table) WalksAfter(T int) (int, error) {
 	if T < 0 || T > len(tb.y) {
 		return 0, errors.New("coalesce: T outside table horizon")
 	}
+	walks := tb.walkCounts(T)
+	return walks[T], nil
+}
+
+// walkCounts runs the coalescing process forward over the first T rows of
+// the table and returns the walk count after every step: walks[t] is what
+// WalksAfter(t) reports, for t = 0..T.
+func (tb *Table) walkCounts(T int) []int {
 	n := tb.g.N()
-	positions := make([]int, 0, n)
-	for u := 0; u < n; u++ {
-		positions = append(positions, u)
+	positions := make([]int, n)
+	for u := range positions {
+		positions[u] = u
 	}
+	seen := newMarks(n)
+	walks := make([]int, T+1)
+	walks[0] = n
 	for t := 0; t < T; t++ {
 		// Move every occupied node along Y_t and keep distinct images.
-		seen := make(map[int]struct{}, len(positions))
+		seen.reset()
+		row := tb.y[t]
 		next := positions[:0]
 		for _, u := range positions {
-			v := tb.y[t][u]
-			if _, dup := seen[v]; !dup {
-				seen[v] = struct{}{}
+			if v := row[u]; seen.add(v) {
 				next = append(next, v)
 			}
 		}
 		positions = next
+		walks[t+1] = len(positions)
 	}
-	return len(positions), nil
+	return walks
 }
 
 // OpinionsAfter runs the horizon-T Voter process backward over the table
@@ -75,24 +86,66 @@ func (tb *Table) OpinionsAfter(T int) (int, error) {
 	if T < 0 || T > len(tb.y) {
 		return 0, errors.New("coalesce: T outside table horizon")
 	}
-	n := tb.g.N()
-	opinions := make([]int, n)
-	next := make([]int, n)
+	return newVoter(tb.g.N()).opinionsAfter(tb, T), nil
+}
+
+// voter holds the buffers of the backward Voter runs, so that Curve can
+// run one per horizon without allocating.
+type voter struct {
+	opinions, next []int
+	distinct       marks
+}
+
+func newVoter(n int) *voter {
+	return &voter{
+		opinions: make([]int, n),
+		next:     make([]int, n),
+		distinct: newMarks(n),
+	}
+}
+
+// opinionsAfter is OpinionsAfter(T) for a T inside the table's horizon.
+func (vt *voter) opinionsAfter(tb *Table, T int) int {
+	opinions, next := vt.opinions, vt.next
 	for u := range opinions {
 		opinions[u] = u
 	}
 	for tPrime := 1; tPrime <= T; tPrime++ {
 		row := tb.y[T-tPrime]
-		for u := 0; u < n; u++ {
-			next[u] = opinions[row[u]]
+		for u, v := range row {
+			next[u] = opinions[v]
 		}
 		opinions, next = next, opinions
 	}
-	distinct := make(map[int]struct{}, n)
+	vt.distinct.reset()
+	count := 0
 	for _, o := range opinions {
-		distinct[o] = struct{}{}
+		if vt.distinct.add(o) {
+			count++
+		}
 	}
-	return len(distinct), nil
+	return count
+}
+
+// marks is a set over 0..n-1 that empties in O(1): v is in the set iff
+// seen[v] == gen, so reset starts a new generation instead of clearing.
+type marks struct {
+	seen []int
+	gen  int
+}
+
+func newMarks(n int) marks { return marks{seen: make([]int, n)} }
+
+// reset empties the set; call it before the first add.
+func (m *marks) reset() { m.gen++ }
+
+// add inserts v and reports whether it was absent.
+func (m *marks) add(v int) bool {
+	if m.seen[v] == m.gen {
+		return false
+	}
+	m.seen[v] = m.gen
+	return true
 }
 
 // DualityPoint compares the two processes at one horizon.
@@ -104,21 +157,22 @@ type DualityPoint struct {
 
 // Curve evaluates the coupling at every horizon 0..maxT, returning one
 // point per horizon. Lemma 4 asserts Walks == Opinions at every point.
+// The walk counts come from one forward pass (the horizon-T count is that
+// pass after T steps, exactly what WalksAfter(T) recomputes); the opinion
+// counts stay one backward Voter run per horizon, so the two sides of the
+// identity remain independent computations: O(maxT·n) and O(maxT²·n).
 func (tb *Table) Curve(maxT int) ([]DualityPoint, error) {
 	if maxT > tb.Horizon() {
 		return nil, errors.New("coalesce: maxT exceeds table horizon")
 	}
+	if maxT < 0 {
+		return []DualityPoint{}, nil
+	}
+	walks := tb.walkCounts(maxT)
+	vt := newVoter(tb.g.N())
 	out := make([]DualityPoint, 0, maxT+1)
 	for T := 0; T <= maxT; T++ {
-		w, err := tb.WalksAfter(T)
-		if err != nil {
-			return nil, err
-		}
-		o, err := tb.OpinionsAfter(T)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, DualityPoint{T: T, Walks: w, Opinions: o})
+		out = append(out, DualityPoint{T: T, Walks: walks[T], Opinions: vt.opinionsAfter(tb, T)})
 	}
 	return out, nil
 }
