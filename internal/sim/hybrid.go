@@ -280,7 +280,7 @@ func (f *ffController) plan(round int) int {
 	e := 0.0
 	m := 0
 	for m < maxStretch {
-		if f.ctx.Err() != nil {
+		if ctxErr(f.ctx) != nil {
 			break
 		}
 		// The Lipschitz bound must hold on the segment between the true

@@ -413,21 +413,35 @@ func FuzzFastForward(f *testing.F) {
 	})
 }
 
-// errAfterCtx is a context whose Err flips to context.Canceled after a
-// fixed number of Err calls. It makes "cancel during a fast-forward
-// stretch" deterministic: the run loop polls Err once before the loop and
-// once per round, and the planner polls it once per extension iteration,
-// so cancelAt lands the cancellation at an exact poll — no goroutines, no
-// timing.
-type errAfterCtx struct {
+// doneAfterCtx is a context that is cancelled from its cancelAt-th Done
+// poll on. It makes "cancel during a fast-forward stretch" deterministic:
+// the run loop polls Done once before the loop and once per round, and
+// the planner polls it once per extension iteration, so cancelAt lands
+// the cancellation at an exact poll — no goroutines, no timing. Err
+// agrees with Done, as every context's must.
+type doneAfterCtx struct {
 	context.Context
-	calls    int
+	polls    int
 	cancelAt int
 }
 
-func (c *errAfterCtx) Err() error {
-	c.calls++
-	if c.calls >= c.cancelAt {
+// closedDone is the Done channel of a cancelled doneAfterCtx.
+var closedDone = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+func (c *doneAfterCtx) Done() <-chan struct{} {
+	c.polls++
+	if c.polls >= c.cancelAt {
+		return closedDone
+	}
+	return nil
+}
+
+func (c *doneAfterCtx) Err() error {
+	if c.polls >= c.cancelAt {
 		return context.Canceled
 	}
 	return nil
@@ -467,10 +481,10 @@ func TestHybridCancelMidStretchReturnsCompletedWork(t *testing.T) {
 		t.Fatalf("precondition: first stretch of %d rounds is too short to cancel inside", first.Rounds)
 	}
 
-	// Err polls: 1 = pre-loop, 2 = round 1, then one per planning
+	// Done polls: 1 = pre-loop, 2 = round 1, then one per planning
 	// iteration — cancelAt 5 cancels at the third extension of the first
 	// stretch, after two rounds were certified.
-	ctx := &errAfterCtx{Context: context.Background(), cancelAt: 5}
+	ctx := &doneAfterCtx{Context: context.Background(), cancelAt: 5}
 	res, err := mk().Run(ctx, start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -494,8 +508,8 @@ func TestHybridCancelMidStretchReturnsCompletedWork(t *testing.T) {
 	// Promptness: after the cancelling poll, the run may observe the
 	// cancellation at most once more (the next round boundary) before
 	// returning.
-	if ctx.calls > ctx.cancelAt+1 {
-		t.Fatalf("run kept polling after cancellation: %d Err calls, cancel at %d", ctx.calls, ctx.cancelAt)
+	if ctx.polls > ctx.cancelAt+1 {
+		t.Fatalf("run kept polling after cancellation: %d Done polls, cancel at %d", ctx.polls, ctx.cancelAt)
 	}
 
 	// A context cancelled before the run starts still returns no result.

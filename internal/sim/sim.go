@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 
 	"github.com/ignorecomply/consensus/internal/adversary"
 	"github.com/ignorecomply/consensus/internal/cluster"
@@ -399,26 +400,26 @@ func runBatch(rule core.Rule, start *config.Config, r *rng.RNG, o options) (*Res
 //
 //consensus:longrun
 func runLoop(c *config.Config, r *rng.RNG, o options, step func(round int) int, current func() *config.Config, nodes func() []int) (*Result, error) {
-	if err := o.ctx.Err(); err != nil {
+	if err := ctxErr(o.ctx); err != nil {
 		return nil, err
 	}
 	res := &Result{
 		ColorTimes:           make(map[int]int, len(o.colorTimes)),
 		AlmostConsensusRound: -1,
 	}
+	// reached[i] records that the κ target o.colorTimes[i] has its time.
+	reached := make([]bool, len(o.colorTimes))
 
 	// Validity bookkeeping (§5): the valid labels are those of the
 	// initial positive-support slots; an adversary may inject colors
 	// outside that set, and WithInvalidLabels removes labels whose initial
-	// support was adversarially planted (a corrupted node group).
-	valid := make(map[int]struct{}, c.Slots())
+	// support was adversarially planted (a corrupted node group). finish
+	// looks the winner up once, so a slice serves.
+	valid := make([]int, 0, c.Remaining())
 	for s := 0; s < c.Slots(); s++ {
 		if c.Count(s) > 0 {
-			valid[c.Label(s)] = struct{}{}
+			valid = append(valid, c.Label(s))
 		}
-	}
-	for _, l := range o.invalidLabels {
-		delete(valid, l)
 	}
 
 	var threshold int
@@ -434,8 +435,9 @@ func runLoop(c *config.Config, r *rng.RNG, o options, step func(round int) int, 
 	record := func(round int) bool {
 		cfg := current()
 		k = cfg.Remaining()
-		for _, kappa := range o.colorTimes {
-			if _, done := res.ColorTimes[kappa]; !done && k <= kappa {
+		for i, kappa := range o.colorTimes {
+			if !reached[i] && k <= kappa {
+				reached[i] = true
 				res.ColorTimes[kappa] = round
 			}
 		}
@@ -489,7 +491,7 @@ func runLoop(c *config.Config, r *rng.RNG, o options, step func(round int) int, 
 		return res, nil
 	}
 	for round := 1; round <= o.maxRounds; round++ {
-		if err := o.ctx.Err(); err != nil {
+		if err := ctxErr(o.ctx); err != nil {
 			// Mid-run cancellation must not discard the rounds already
 			// executed: finish the partial Result at the last completed
 			// round and return it alongside the error (the run-level
@@ -608,12 +610,25 @@ func (co *corruptor) apply(c *config.Config, nodes func() []int, adv adversary.A
 	return did
 }
 
-func finish(res *Result, c *config.Config, rounds int, o options, valid map[int]struct{}) {
+// ctxErr is ctx.Err() for a per-round poll: a non-blocking receive on
+// Done() costs no lock while the context is live, and Err (which locks a
+// cancelCtx) runs only once Done is closed.
+func ctxErr(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
+		return nil
+	}
+}
+
+func finish(res *Result, c *config.Config, rounds int, o options, valid []int) {
 	res.Rounds = rounds
 	res.Final = c
 	slot, maxSup := c.Max()
 	res.WinnerLabel = c.Label(slot)
-	_, res.WinnerValid = valid[res.WinnerLabel]
+	res.WinnerValid = slices.Contains(valid, res.WinnerLabel) &&
+		!slices.Contains(o.invalidLabels, res.WinnerLabel)
 	if o.traceEvery > 0 && (len(res.Trace) == 0 || res.Trace[len(res.Trace)-1].Round != rounds) {
 		res.Trace = append(res.Trace, TracePoint{
 			Round:      rounds,
