@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -28,31 +29,26 @@ type Config struct {
 // labeled s. It returns an error if counts is empty, any entry is negative,
 // or all entries are zero.
 func New(counts []int) (*Config, error) {
-	labels := make([]int, len(counts))
-	for i := range labels {
-		labels[i] = i
+	n, err := total(counts)
+	if err != nil {
+		return nil, err
 	}
-	return NewLabeled(counts, labels)
+	c := &Config{n: n, counts: slices.Clone(counts), labels: make([]int, len(counts))}
+	for i := range c.labels {
+		c.labels[i] = i
+	}
+	return c, nil
 }
 
 // NewLabeled returns a configuration with explicit color labels per slot.
 // Labels must be pairwise distinct and len(labels) == len(counts).
 func NewLabeled(counts, labels []int) (*Config, error) {
-	if len(counts) == 0 {
-		return nil, errors.New("config: empty counts")
-	}
-	if len(counts) != len(labels) {
+	if len(counts) > 0 && len(counts) != len(labels) {
 		return nil, fmt.Errorf("config: %d counts but %d labels", len(counts), len(labels))
 	}
-	n := 0
-	for i, c := range counts {
-		if c < 0 {
-			return nil, fmt.Errorf("config: negative count %d in slot %d", c, i)
-		}
-		n += c
-	}
-	if n == 0 {
-		return nil, errors.New("config: all counts are zero")
+	n, err := total(counts)
+	if err != nil {
+		return nil, err
 	}
 	seen := make(map[int]struct{}, len(labels))
 	for _, l := range labels {
@@ -61,14 +57,26 @@ func NewLabeled(counts, labels []int) (*Config, error) {
 		}
 		seen[l] = struct{}{}
 	}
-	c := &Config{
-		n:      n,
-		counts: make([]int, len(counts)),
-		labels: make([]int, len(labels)),
+	return &Config{n: n, counts: slices.Clone(counts), labels: slices.Clone(labels)}, nil
+}
+
+// total returns Σ counts, or an error if counts is empty, any entry is
+// negative, or all entries are zero.
+func total(counts []int) (int, error) {
+	if len(counts) == 0 {
+		return 0, errors.New("config: empty counts")
 	}
-	copy(c.counts, counts)
-	copy(c.labels, labels)
-	return c, nil
+	n := 0
+	for i, c := range counts {
+		if c < 0 {
+			return 0, fmt.Errorf("config: negative count %d in slot %d", c, i)
+		}
+		n += c
+	}
+	if n == 0 {
+		return 0, errors.New("config: all counts are zero")
+	}
+	return n, nil
 }
 
 // FromNodes builds a configuration from a per-node color assignment. Colors
