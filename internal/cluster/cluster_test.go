@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/ignorecomply/consensus/internal/config"
@@ -147,6 +148,14 @@ func TestNewSystemErrors(t *testing.T) {
 	}
 	if _, err := NewSystem(voterFactory, c, base, Options{Model: &Net{Delay: -1}}); err == nil {
 		t.Error("expected error: negative delay")
+	}
+	// Jitter = MaxInt64 would overflow the jitter+1 draw range and panic
+	// in the first leg's draw; the largest smaller jitter still runs.
+	if _, err := NewSystem(voterFactory, c, base, Options{Model: &Net{Jitter: math.MaxInt64}}); err == nil || !strings.Contains(err.Error(), "jitter") {
+		t.Errorf("jitter MaxInt64: err = %v, want a jitter error", err)
+	}
+	if d := (&Net{Jitter: math.MaxInt64 - 1}).Latency(0, rng.New(2)); d < 0 {
+		t.Errorf("jitter MaxInt64-1: latency %d < 0", d)
 	}
 	if _, err := NewSystem(voterFactory, c, base, Options{Model: &Net{Partitions: []Partition{{From: 5, Until: 3, Groups: 2}}}}); err == nil {
 		t.Error("expected error: inverted partition window")

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/ignorecomply/consensus/internal/rng"
 )
@@ -96,6 +97,10 @@ func (m *Net) Validate() error {
 	}
 	if m.Jitter < 0 {
 		return fmt.Errorf("cluster: network jitter must be >= 0, got %d", m.Jitter)
+	}
+	// A leg draws one of Jitter+1 delays, a count that must fit an int.
+	if m.Jitter >= math.MaxInt {
+		return fmt.Errorf("cluster: network jitter must be < %d, got %d", math.MaxInt, m.Jitter)
 	}
 	// Loss 1 would retry forever: no pull could ever complete.
 	if m.Loss < 0 || m.Loss >= 1 {

@@ -130,6 +130,11 @@ func TestNetworkSpecStrictDecoding(t *testing.T) {
 			wantSub: "network.jitter",
 		},
 		{
+			name:    "jitter at MaxInt64",
+			src:     mutate(`"jitter": 1`, `"jitter": 9223372036854775807`),
+			wantSub: "network.jitter",
+		},
+		{
 			name:    "zero retry",
 			src:     mutate(`"retry_after": 2`, `"retry_after": 0`),
 			wantSub: "network.retry_after",
