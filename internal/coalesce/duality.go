@@ -46,8 +46,7 @@ func (tb *Table) WalksAfter(T int) (int, error) {
 	if T < 0 || T > len(tb.y) {
 		return 0, errors.New("coalesce: T outside table horizon")
 	}
-	walks := tb.walkCounts(T)
-	return walks[T], nil
+	return tb.walkCounts(T)[T], nil
 }
 
 // walkCounts runs the coalescing process forward over the first T rows of
