@@ -1,12 +1,16 @@
 package consensus_test
 
-// The benchmark harness regenerates every paper artifact: one testing.B
+// The root benchmarks regenerate every paper artifact: one testing.B
 // benchmark per experiment E1..E12 (see DESIGN.md §4 for the experiment ↔
-// paper-claim mapping), plus micro-benchmarks of the simulation engines.
+// paper-claim mapping), plus whole runs of paper cells that no layer
+// benchmark covers. One round of a rule, a sampler or a per-node shard is
+// timed in its own package (internal/rules BenchmarkStep, internal/rng,
+// internal/sim BenchmarkRoundAgentsParallel, internal/coalesce
+// BenchmarkDualityVerify).
 //
 // Run everything with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 //
 // Each experiment benchmark executes the full quick-scale experiment per
 // iteration and reports rows produced. The experiments are declared in
@@ -15,7 +19,6 @@ package consensus_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	consensus "github.com/ignorecomply/consensus"
@@ -55,82 +58,7 @@ func BenchmarkE10Byzantine(b *testing.B)          { benchExperiment(b, "E10") }
 func BenchmarkE11Separation(b *testing.B)         { benchExperiment(b, "E11") }
 func BenchmarkE12PhaseSplit(b *testing.B)         { benchExperiment(b, "E12") }
 
-// Engine micro-benchmarks: cost of one exact-law round per rule and size.
-
-func BenchmarkRoundBatch(b *testing.B) {
-	sizes := []struct {
-		n, k int
-	}{
-		{n: 10_000, k: 10},
-		{n: 100_000, k: 1000},
-		{n: 1_000_000, k: 1_000_000},
-	}
-	factories := []struct {
-		name string
-		mk   consensus.Factory
-	}{
-		{name: "voter", mk: func() consensus.Rule { return consensus.NewVoter() }},
-		{name: "2-choices", mk: func() consensus.Rule { return consensus.NewTwoChoices() }},
-		{name: "3-majority", mk: func() consensus.Rule { return consensus.NewThreeMajority() }},
-	}
-	for _, size := range sizes {
-		for _, f := range factories {
-			name := fmt.Sprintf("%s/n=%d,k=%d", f.name, size.n, size.k)
-			b.Run(name, func(b *testing.B) {
-				r := consensus.NewRNG(1)
-				var cfg *consensus.Config
-				if size.k == size.n {
-					cfg = consensus.SingletonConfig(size.n)
-				} else {
-					cfg = consensus.BalancedConfig(size.n, size.k)
-				}
-				rule := f.mk()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c := cfg.Clone()
-					rule.Step(c, r)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkRoundAgents measures the literal per-node engine for contrast
-// with the O(k) batch laws above.
-func BenchmarkRoundAgents(b *testing.B) {
-	runner := consensus.NewRunner(consensus.NewThreeMajority(),
-		consensus.WithEngine(consensus.EngineAgents),
-		consensus.WithMaxRounds(1), consensus.WithTargetColors(1),
-		consensus.WithRNG(consensus.NewRNG(2)))
-	cfg := consensus.BalancedConfig(10_000, 10)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := runner.Run(context.Background(), cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFullConsensus measures complete runs to consensus.
-func BenchmarkFullConsensus(b *testing.B) {
-	for _, n := range []int{1_000, 10_000, 100_000} {
-		b.Run(fmt.Sprintf("3-majority/n=%d", n), func(b *testing.B) {
-			runner := consensus.NewRunner(consensus.NewThreeMajority(),
-				consensus.WithRNG(consensus.NewRNG(3)))
-			cfg := consensus.SingletonConfig(n)
-			rounds := 0
-			for i := 0; i < b.N; i++ {
-				res, err := runner.Run(context.Background(), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rounds += res.Rounds
-			}
-			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/consensus")
-		})
-	}
-}
+// Whole-run benchmarks of the engines, one paper cell each.
 
 // BenchmarkBatchRunSingleton measures one sep-3m cell of the paper-batch
 // workload: 3-Majority on the batch engine from Singleton(2^14), run to
@@ -156,6 +84,35 @@ func BenchmarkBatchRunSingleton(b *testing.B) {
 		rounds += res.Rounds
 	}
 	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/run")
+}
+
+// BenchmarkHybridRun measures the hybrid engine in the h-Majority regime
+// of the paper's Conjecture 1 and E13: 5-Majority from
+// BiasedConfig(10^5, 2, 10^4), run to consensus under a 200-round cap.
+// Each iteration is one whole run, the runs continuing one random stream,
+// so a plan that certifies nothing is paid for in the exact rounds it
+// precedes. It reports the mean exact and skipped rounds per run.
+func BenchmarkHybridRun(b *testing.B) {
+	cfg := consensus.BiasedConfig(100_000, 2, 10_000)
+	runner := consensus.NewFactoryRunner(func() consensus.Rule { return consensus.NewHMajority(5) },
+		consensus.WithEngine(consensus.EngineHybrid),
+		consensus.WithMaxRounds(200),
+		consensus.WithRNG(consensus.NewRNG(1)))
+	b.ReportAllocs()
+	exact, skipped := 0, 0
+	for i := 0; i < b.N; i++ {
+		res, err := runner.Run(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Converged {
+			b.Fatal("no consensus within the cell's round cap")
+		}
+		exact += res.FastForward.ExactRounds
+		skipped += res.FastForward.SkippedRounds
+	}
+	b.ReportMetric(float64(exact)/float64(b.N), "exact/run")
+	b.ReportMetric(float64(skipped)/float64(b.N), "skipped/run")
 }
 
 // BenchmarkClusterRound measures the cluster engine's event-driven path on
@@ -210,21 +167,5 @@ func BenchmarkAblationLaziness(b *testing.B) {
 			}
 			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/run")
 		})
-	}
-}
-
-// BenchmarkDualityTable measures the Lemma 4 coupling verification.
-func BenchmarkDualityTable(b *testing.B) {
-	r := consensus.NewRNG(4)
-	g := consensus.NewCompleteGraph(128)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tb, err := consensus.NewDualityTable(g, 128, r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := tb.Verify(128); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

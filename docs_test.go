@@ -12,8 +12,8 @@ import (
 	"testing"
 )
 
-// citedDocs are the documents whose test and benchmark citations must
-// resolve. ROADMAP.md and CHANGES.md are left out: they record history,
+// citedDocs are the documents whose test, benchmark and file citations
+// must resolve. ROADMAP.md and CHANGES.md are left out: they record history,
 // which names tests deleted since.
 var citedDocs = []string{
 	"README.md",
@@ -24,12 +24,23 @@ var citedDocs = []string{
 
 var citedName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*`)
 
+// codeSpan matches a backticked span; citedFile picks out the spans that
+// name a file by its extension.
+var (
+	codeSpan  = regexp.MustCompile("`([^`]+)`")
+	citedFile = regexp.MustCompile(`\.(?:go|json|md|sh|yml)$`)
+)
+
 // TestDocCitationsResolve: every Test…, Benchmark… or Fuzz… name that a
 // document cites is declared as a top-level function in some _test.go
-// file of the repository, so a renamed or deleted test cannot leave a
-// document pointing at nothing.
+// file of the repository, and every backticked file name (a token ending
+// in .go, .json, .md, .sh or .yml, outside fenced code blocks) is a path
+// suffix of a file in the repository, so a renamed, moved or deleted file
+// cannot leave a document pointing at nothing. Patterns (tokens with *, <
+// or >) are skipped.
 func TestDocCitationsResolve(t *testing.T) {
 	declared := declaredTestFuncs(t, ".")
+	files := repoFiles(t, ".")
 	for _, doc := range citedDocs {
 		src, err := os.ReadFile(doc)
 		if err != nil {
@@ -40,7 +51,67 @@ func TestDocCitationsResolve(t *testing.T) {
 				t.Errorf("%s cites %s, which no _test.go file declares", doc, name)
 			}
 		}
+		for _, m := range codeSpan.FindAllStringSubmatch(withoutFences(string(src)), -1) {
+			path := strings.TrimPrefix(m[1], "./")
+			if !citedFile.MatchString(path) || strings.ContainsAny(path, "*<>") {
+				continue
+			}
+			if !hasPathSuffix(files, path) {
+				t.Errorf("%s cites %s, which is no file of the repository", doc, m[1])
+			}
+		}
 	}
+}
+
+// withoutFences blanks the fenced code blocks of a Markdown document, so
+// that a fence's backticks cannot pair with an inline span's.
+func withoutFences(doc string) string {
+	lines := strings.Split(doc, "\n")
+	fenced := false
+	for i, line := range lines {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			lines[i] = ""
+		} else if fenced {
+			lines[i] = ""
+		}
+	}
+	return strings.Join(lines, "\n")
+}
+
+// hasPathSuffix reports whether some file's slash path is path or ends
+// in "/"+path.
+func hasPathSuffix(files []string, path string) bool {
+	for _, f := range files {
+		if f == path || strings.HasSuffix(f, "/"+path) {
+			return true
+		}
+	}
+	return false
+}
+
+// repoFiles returns the slash paths, relative to root, of every file
+// under root except those in version control and benchmark build output.
+func repoFiles(t *testing.T, root string) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == ".git" || d.Name() == ".bench_build" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		files = append(files, filepath.ToSlash(path))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // declaredTestFuncs returns the names of the top-level functions of every

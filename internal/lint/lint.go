@@ -21,7 +21,7 @@
 //     crypto/rand) and wall-clock time (time.Now and friends) in engine
 //     packages; all randomness must flow through internal/rng derived
 //     streams, all timing through virtual clocks. cmd/, examples/ and
-//     internal/bench are allowlisted; internal/rng itself is the one
+//     internal/serve are allowlisted; internal/rng itself is the one
 //     place allowed to touch math/rand/v2.
 //   - hotalloc: functions annotated //consensus:hotpath must not contain
 //     allocating constructs (make, new, growing append, closures,

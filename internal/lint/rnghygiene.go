@@ -24,12 +24,12 @@ import (
 //
 // The policy is default-deny: every package in the module is checked
 // except the wall-clock allowlist — cmd/ and examples/ (interactive
-// entry points), internal/bench (which measures real elapsed time by
-// design) and internal/serve (the HTTP daemon: uptime gauges and drain
-// deadlines are wall-clock concerns; the suites it executes still run
-// through the deterministic scenario layer). There is no waiver
+// entry points) and internal/serve (the HTTP daemon: uptime gauges and
+// drain deadlines are wall-clock concerns; the suites it executes still
+// run through the deterministic scenario layer). There is no waiver
 // comment: code that needs wall-clock time belongs in an allowlisted
-// package.
+// package. Timing an engine is the job of go test benchmarks, whose
+// clock is the testing package's.
 var RNGHygieneAnalyzer = &Analyzer{
 	Name: "rnghygiene",
 	Doc:  "forbids global randomness and wall-clock time outside allowlisted packages",
@@ -38,7 +38,7 @@ var RNGHygieneAnalyzer = &Analyzer{
 
 // hygieneAllowed are path prefixes (relative to the module root) exempt
 // from the wall-clock and global-randomness rules.
-var hygieneAllowed = []string{"cmd", "examples", "internal/bench", "internal/serve"}
+var hygieneAllowed = []string{"cmd", "examples", "internal/serve"}
 
 // bannedTimeFuncs are the time package functions that read or act on the
 // wall clock.
@@ -95,7 +95,7 @@ func runRNGHygiene(p *Pass) {
 				return true
 			}
 			if pn, ok := p.Info.Uses[base].(*types.PkgName); ok && pn.Imported().Path() == "time" {
-				p.Reportf(call.Pos(), "call of time.%s in an engine package: inject a clock (cf. the cluster engine's virtual ticks) or move wall-clock timing to cmd/ or internal/bench", sel.Sel.Name)
+				p.Reportf(call.Pos(), "call of time.%s in an engine package: inject a clock (cf. the cluster engine's virtual ticks) or move wall-clock timing to cmd/", sel.Sel.Name)
 			}
 			return true
 		})

@@ -13,8 +13,8 @@ import (
 // The AC rules and the keeper/switcher rules are O(k); h-Majority's batch
 // form is O(k + d·poly(h)) over d distinct counts (BenchmarkHMajorityStep
 // sweeps h); 2-Median is O(k²). Voter, 3-Majority and 2-Choices also run
-// from Singleton(4096), where few trials fall on each live color and the
-// samplers draw per trial.
+// from Singleton(4096) and Singleton(10⁶), where few trials fall on each
+// live color and the samplers draw per trial.
 func BenchmarkStep(b *testing.B) {
 	factories := []struct {
 		name      string
@@ -36,6 +36,7 @@ func BenchmarkStep(b *testing.B) {
 		{name: "n=100000,k=16", c: config.Balanced(100_000, 16)},
 		{name: "n=100000,k=1024", c: config.Balanced(100_000, 1024)},
 		{name: "singleton/n=4096", c: config.Singleton(4096)},
+		{name: "singleton/n=1000000", c: config.Singleton(1_000_000)},
 	}
 	for _, f := range factories {
 		for _, st := range starts {

@@ -27,8 +27,8 @@ func newBenchAgentsState(tb testing.TB, n, k, p int) *agentsState {
 }
 
 // BenchmarkRoundAgentsParallel sweeps the shard count over one agents
-// round at n=100k, k=8, 3-Majority: the steady-state hot path the
-// BENCH_PR2.json speedup curves record.
+// round at n=100k, k=8, 3-Majority: the steady-state hot path of the
+// per-node engines and its parallel speedup curve.
 func BenchmarkRoundAgentsParallel(b *testing.B) {
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
