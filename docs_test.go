@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -59,6 +60,60 @@ func TestDocCitationsResolve(t *testing.T) {
 			if !hasPathSuffix(files, path) {
 				t.Errorf("%s cites %s, which is no file of the repository", doc, m[1])
 			}
+		}
+	}
+}
+
+// TestDesignInventoryCoversPackages: DESIGN.md §1 has a row for every
+// directory that holds non-test Go files (outside testdata), and every
+// directory a row names exists. A row's first cell names directories in
+// backticks: `consensus` is the root package and `examples/*` covers each
+// example.
+func TestDesignInventoryCoversPackages(t *testing.T) {
+	src, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(src)
+	start := strings.Index(doc, "## 1. Package inventory")
+	end := strings.Index(doc, "## 2. ")
+	if start < 0 || end < start {
+		t.Fatal("DESIGN.md has no §1 package inventory before §2")
+	}
+	var rows []string
+	for _, line := range strings.Split(doc[start:end], "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 2 && strings.HasPrefix(line, "| `") {
+			for _, m := range codeSpan.FindAllStringSubmatch(cells[1], -1) {
+				rows = append(rows, m[1])
+			}
+		}
+	}
+	var dirs []string // in walk order, so failures are reported in a stable order
+	for _, f := range repoFiles(t, ".") {
+		if strings.HasSuffix(f, ".go") && !strings.HasSuffix(f, "_test.go") && !strings.Contains("/"+f, "/testdata/") {
+			dir := path.Dir(f)
+			if dir == "." {
+				dir = "consensus"
+			}
+			if len(dirs) == 0 || dirs[len(dirs)-1] != dir {
+				dirs = append(dirs, dir)
+			}
+		}
+	}
+	named := make(map[string]bool)
+	for _, dir := range dirs {
+		for _, row := range rows {
+			if ok, _ := path.Match(row, dir); ok {
+				named[dir], named[row] = true, true
+			}
+		}
+		if !named[dir] {
+			t.Errorf("DESIGN.md §1 has no row for %s", dir)
+		}
+	}
+	for _, row := range rows {
+		if !named[row] {
+			t.Errorf("DESIGN.md §1 has a row for %s, which holds no Go package", row)
 		}
 	}
 }

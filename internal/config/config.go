@@ -11,9 +11,7 @@ package config
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 )
 
 // Config is a consensus configuration: counts[s] nodes currently support the
@@ -159,6 +157,8 @@ func (c *Config) Remaining() int {
 }
 
 // IsConsensus reports whether exactly one color has positive support.
+//
+//lint:testhelper the config, sim, cluster and root tests share it as their consensus check
 func (c *Config) IsConsensus() bool { return c.Remaining() == 1 }
 
 // Max returns the slot and support of the most common color. Ties resolve to
@@ -188,14 +188,6 @@ func (c *Config) Bias() int {
 	return first - second
 }
 
-// SortedDesc returns the counts sorted in non-increasing order (a copy).
-// This is the c↓ vector used throughout the majorization framework.
-func (c *Config) SortedDesc() []int {
-	out := c.CountsCopy()
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
-}
-
 // Fractions writes x = c/n into out (len must equal Slots) and returns it;
 // pass nil to allocate.
 func (c *Config) Fractions(out []float64) []float64 {
@@ -210,32 +202,6 @@ func (c *Config) Fractions(out []float64) []float64 {
 		out[i] = float64(v) / fn
 	}
 	return out
-}
-
-// L2Squared returns ‖c/n‖₂² = Σ x_i², the quantity in the 3-Majority
-// process function (Eq. 2).
-func (c *Config) L2Squared() float64 {
-	fn := float64(c.n)
-	sum := 0.0
-	for _, v := range c.counts {
-		x := float64(v) / fn
-		sum += x * x
-	}
-	return sum
-}
-
-// Entropy returns the Shannon entropy (nats) of the color distribution.
-func (c *Config) Entropy() float64 {
-	fn := float64(c.n)
-	h := 0.0
-	for _, v := range c.counts {
-		if v == 0 {
-			continue
-		}
-		x := float64(v) / fn
-		h -= x * math.Log(x)
-	}
-	return h
 }
 
 // Compact removes extinct color slots in place, preserving the relative
@@ -272,6 +238,8 @@ func (c *Config) Nodes() []int {
 
 // CheckInvariant verifies Σ counts = n and non-negativity. Simulators call
 // it in tests after every round.
+//
+//lint:testhelper the tests of six packages call it after every round they drive
 func (c *Config) CheckInvariant() error {
 	sum := 0
 	for s, v := range c.counts {

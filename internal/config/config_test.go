@@ -2,6 +2,7 @@ package config
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -105,7 +106,7 @@ func TestMaxAndBias(t *testing.T) {
 
 func TestSortedDesc(t *testing.T) {
 	c, _ := New([]int{1, 5, 0, 3})
-	got := c.SortedDesc()
+	got := sortedDesc(c)
 	want := []int{5, 3, 1, 0}
 	for i := range want {
 		if got[i] != want[i] {
@@ -125,18 +126,18 @@ func TestFractionsAndL2(t *testing.T) {
 	if x[0] != 0.5 || x[1] != 0.5 {
 		t.Fatalf("Fractions = %v", x)
 	}
-	if got := c.L2Squared(); math.Abs(got-0.5) > 1e-12 {
+	if got := l2Squared(c); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("L2Squared = %v, want 0.5", got)
 	}
 }
 
 func TestEntropy(t *testing.T) {
 	uniform, _ := New([]int{1, 1, 1, 1})
-	if got, want := uniform.Entropy(), math.Log(4); math.Abs(got-want) > 1e-12 {
+	if got, want := entropy(uniform), math.Log(4); math.Abs(got-want) > 1e-12 {
 		t.Errorf("uniform entropy %v, want %v", got, want)
 	}
 	point, _ := New([]int{4})
-	if got := point.Entropy(); got != 0 {
+	if got := entropy(point); got != 0 {
 		t.Errorf("point-mass entropy %v, want 0", got)
 	}
 }
@@ -263,4 +264,33 @@ func TestQuickDerivedQuantities(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sortedDesc returns the counts sorted in non-increasing order (a copy):
+// the c↓ vector of the majorization framework.
+func sortedDesc(c *Config) []int {
+	out := c.CountsCopy()
+	sort.Sort(sort.Reverse(sort.IntSlice(out)))
+	return out
+}
+
+// l2Squared returns ‖c/n‖₂² = Σ x_i², the quantity in the 3-Majority
+// process function (Eq. 2).
+func l2Squared(c *Config) float64 {
+	sum := 0.0
+	for _, x := range c.Fractions(nil) {
+		sum += x * x
+	}
+	return sum
+}
+
+// entropy returns the Shannon entropy (nats) of the color distribution.
+func entropy(c *Config) float64 {
+	h := 0.0
+	for _, x := range c.Fractions(nil) {
+		if x > 0 {
+			h -= x * math.Log(x)
+		}
+	}
+	return h
 }

@@ -26,7 +26,7 @@ func TestConsensusGen(t *testing.T) {
 
 func TestBalanced(t *testing.T) {
 	c := Balanced(10, 3)
-	got := c.SortedDesc()
+	got := sortedDesc(c)
 	want := []int{4, 3, 3}
 	for i := range want {
 		if got[i] != want[i] {

@@ -1,60 +1,13 @@
-// Package drift implements the variable-drift machinery (Theorem 7,
+// Package drift holds the variable-drift bound (Theorem 7,
 // [LW14, Corollary 1.(i)]) the paper uses to bound the coalescence time:
 // if E[X_{t+1} - X_t | X_t >= xmin] <= -h(X_t) for a non-decreasing h, then
 //
 //	E[T | X_0] <= xmin/h(xmin) + ∫_{xmin}^{X_0} dy / h(y).
 //
 // The paper instantiates it with h(x) = x²/(10n) to get E[T^k_C] <= 20n/k
-// (Eq. 18), which experiment E4 compares against measurement.
+// (Eq. 18), which experiment E4 compares against measurement. The general
+// integrator lives in the tests, which check the closed form against it.
 package drift
-
-import (
-	"errors"
-	"math"
-)
-
-// Bound evaluates the variable-drift upper bound xmin/h(xmin) + ∫ 1/h by
-// composite Simpson integration with the given number of panels (rounded up
-// to even). h must be positive on [xmin, x0] and non-decreasing; positivity
-// is checked at the evaluation points.
-func Bound(x0, xmin float64, h func(float64) float64, panels int) (float64, error) {
-	if xmin <= 0 || x0 < xmin {
-		return 0, errors.New("drift: need 0 < xmin <= x0")
-	}
-	hmin := h(xmin)
-	if hmin <= 0 {
-		return 0, errors.New("drift: h(xmin) must be positive")
-	}
-	head := xmin / hmin
-	if x0 == xmin {
-		return head, nil
-	}
-	if panels < 2 {
-		panels = 2
-	}
-	if panels%2 == 1 {
-		panels++
-	}
-	// Simpson's rule on f(y) = 1/h(y).
-	width := (x0 - xmin) / float64(panels)
-	sum := 0.0
-	for i := 0; i <= panels; i++ {
-		y := xmin + float64(i)*width
-		hy := h(y)
-		if hy <= 0 || math.IsNaN(hy) {
-			return 0, errors.New("drift: h must be positive on [xmin, x0]")
-		}
-		w := 4.0
-		switch {
-		case i == 0 || i == panels:
-			w = 1
-		case i%2 == 0:
-			w = 2
-		}
-		sum += w / hy
-	}
-	return head + sum*width/3, nil
-}
 
 // CoalescenceBound returns the paper's closed-form drift bound on the
 // expected time for n coalescing random walks on the complete graph to drop
@@ -63,18 +16,7 @@ func CoalescenceBound(n, k int) float64 {
 	if n <= 0 || k <= 0 || k > n {
 		panic("drift: CoalescenceBound requires 0 < k <= n")
 	}
-	fn, fk := float64(n), float64(k)
 	// Exact value of the Theorem 7 expression: 10n/k + 10n(1/k - 1/n)
 	// = 20n/k - 10 <= 20n/k. We return the paper's round figure.
-	_ = fn
-	return 20 * fn / fk
-}
-
-// CoalescenceBoundExact returns the un-rounded Theorem 7 value
-// 20n/k - 10 for cross-checking the numeric integrator.
-func CoalescenceBoundExact(n, k int) float64 {
-	if n <= 0 || k <= 0 || k > n {
-		panic("drift: CoalescenceBoundExact requires 0 < k <= n")
-	}
-	return 20*float64(n)/float64(k) - 10
+	return 20 * float64(n) / float64(k)
 }

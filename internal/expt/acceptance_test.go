@@ -1,7 +1,9 @@
 package expt
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -14,11 +16,14 @@ import (
 // layer: every embedded scenario carries an expect section, and at quick
 // scale, seed 1, all of its expectations hold. A bound drifting out of
 // calibration fails here with the field-qualified violation message.
+//
+// It is also the suite's determinism check: each scenario runs at 4
+// workers and at 1, and the rendered tables and the marshalled
+// expectation reports must match byte for byte.
 func TestScenarioExpectationsHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario expectation acceptance skipped in -short mode")
 	}
-	p := scenario.Params{Seed: 1, Scale: scenario.Quick, Workers: 4}
 	for _, name := range scenarios.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -34,12 +39,29 @@ func TestScenarioExpectationsHold(t *testing.T) {
 			if len(s.Expect) == 0 {
 				t.Fatalf("scenario %q ships without an expect section", s.Name)
 			}
-			_, report, err := scenario.RunChecked(context.Background(), s, p)
-			if err != nil {
-				t.Fatalf("expectations violated:\n%v", err)
+			var outputs [2][]byte
+			for i, workers := range []int{4, 1} {
+				p := scenario.Params{Seed: 1, Scale: scenario.Quick, Workers: workers}
+				tbl, report, err := scenario.RunChecked(context.Background(), s, p)
+				if err != nil {
+					t.Fatalf("workers=%d: expectations violated:\n%v", workers, err)
+				}
+				if report.Checks == 0 {
+					t.Fatalf("scenario %q: expect section evaluated zero checks", s.Name)
+				}
+				var buf bytes.Buffer
+				if err := tbl.Render(&buf); err != nil {
+					t.Fatal(err)
+				}
+				rep, err := json.Marshal(report)
+				if err != nil {
+					t.Fatal(err)
+				}
+				outputs[i] = append(buf.Bytes(), rep...)
 			}
-			if report.Checks == 0 {
-				t.Fatalf("scenario %q: expect section evaluated zero checks", s.Name)
+			if !bytes.Equal(outputs[0], outputs[1]) {
+				t.Fatalf("scenario %q is not deterministic: table or expectation report differs between 4 workers and 1:\n%s\n---\n%s",
+					s.Name, outputs[0], outputs[1])
 			}
 		})
 	}

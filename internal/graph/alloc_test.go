@@ -10,7 +10,7 @@ import (
 // in the graph engine's inner loop, so every topology's lookup must be
 // allocation-free.
 func TestNeighborZeroAllocs(t *testing.T) {
-	adj, err := NewAdjacency([][]int{{1, 2}, {0, 2}, {0, 1}})
+	adj, err := newAdjacency([][]int{{1, 2}, {0, 2}, {0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/ignorecomply/consensus/internal/rng"
@@ -148,28 +147,6 @@ type Adjacency struct {
 	adj [][]int
 }
 
-// NewAdjacency wraps explicit adjacency lists (copied). Every vertex must
-// have at least one neighbor and all indices must be in range.
-func NewAdjacency(adj [][]int) (*Adjacency, error) {
-	n := len(adj)
-	if n == 0 {
-		return nil, errors.New("graph: empty adjacency")
-	}
-	cp := make([][]int, n)
-	for u, nb := range adj {
-		if len(nb) == 0 {
-			return nil, fmt.Errorf("graph: vertex %d has no neighbors", u)
-		}
-		cp[u] = append([]int(nil), nb...)
-		for _, v := range nb {
-			if v < 0 || v >= n {
-				return nil, fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", u, v)
-			}
-		}
-	}
-	return &Adjacency{adj: cp}, nil
-}
-
 func (g *Adjacency) N() int           { return len(g.adj) }
 func (g *Adjacency) Degree(u int) int { return len(g.adj[u]) }
 
@@ -237,29 +214,4 @@ func pairStubs(stubs, nb, deg []int, d int) bool {
 		deg[v]++
 	}
 	return true
-}
-
-// IsConnected reports whether g is connected (BFS from vertex 0).
-func IsConnected(g Graph) bool {
-	n := g.N()
-	if n == 0 {
-		return false
-	}
-	visited := make([]bool, n)
-	queue := []int{0}
-	visited[0] = true
-	count := 1
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for i := 0; i < g.Degree(u); i++ {
-			v := g.Neighbor(u, i)
-			if !visited[v] {
-				visited[v] = true
-				count++
-				queue = append(queue, v)
-			}
-		}
-	}
-	return count == n
 }

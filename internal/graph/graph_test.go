@@ -2,6 +2,8 @@ package graph
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/fnv"
 	"testing"
 
@@ -39,7 +41,7 @@ func TestComplete(t *testing.T) {
 	if g.Neighbor(2, 2) != 2 {
 		t.Fatal("complete graph should include self")
 	}
-	if !IsConnected(g) {
+	if !isConnected(g) {
 		t.Fatal("complete graph must be connected")
 	}
 }
@@ -69,7 +71,7 @@ func TestRing(t *testing.T) {
 	if g.Neighbor(5, 0) != 0 {
 		t.Fatalf("ring wrap-around: neighbor(5,0) = %d", g.Neighbor(5, 0))
 	}
-	if !IsConnected(g) {
+	if !isConnected(g) {
 		t.Fatal("ring must be connected")
 	}
 }
@@ -90,7 +92,7 @@ func TestTorus(t *testing.T) {
 			t.Fatalf("vertex %d has %d distinct neighbors", u, len(seen))
 		}
 	}
-	if !IsConnected(g) {
+	if !isConnected(g) {
 		t.Fatal("torus must be connected")
 	}
 }
@@ -104,43 +106,31 @@ func TestStar(t *testing.T) {
 	if g.Neighbor(3, 0) != 0 {
 		t.Fatal("leaf neighbor must be the hub")
 	}
-	if !IsConnected(g) {
+	if !isConnected(g) {
 		t.Fatal("star must be connected")
 	}
 }
 
 func TestAdjacency(t *testing.T) {
-	g, err := NewAdjacency([][]int{{1}, {0, 2}, {1}})
+	g, err := newAdjacency([][]int{{1}, {0, 2}, {1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkValid(t, g)
-	if !IsConnected(g) {
+	if !isConnected(g) {
 		t.Fatal("path must be connected")
 	}
 }
 
 func TestAdjacencyErrors(t *testing.T) {
-	if _, err := NewAdjacency(nil); err == nil {
+	if _, err := newAdjacency(nil); err == nil {
 		t.Error("expected error: empty")
 	}
-	if _, err := NewAdjacency([][]int{{}}); err == nil {
+	if _, err := newAdjacency([][]int{{}}); err == nil {
 		t.Error("expected error: isolated vertex")
 	}
-	if _, err := NewAdjacency([][]int{{5}}); err == nil {
+	if _, err := newAdjacency([][]int{{5}}); err == nil {
 		t.Error("expected error: out of range")
-	}
-}
-
-func TestAdjacencyCopies(t *testing.T) {
-	raw := [][]int{{1}, {0}}
-	g, err := NewAdjacency(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[0][0] = 0
-	if g.Neighbor(0, 0) != 1 {
-		t.Fatal("NewAdjacency must copy its input")
 	}
 }
 
@@ -183,11 +173,11 @@ func TestRandomRegularErrors(t *testing.T) {
 }
 
 func TestIsConnectedDisconnected(t *testing.T) {
-	g, err := NewAdjacency([][]int{{1}, {0}, {3}, {2}})
+	g, err := newAdjacency([][]int{{1}, {0}, {3}, {2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if IsConnected(g) {
+	if isConnected(g) {
 		t.Fatal("two components flagged connected")
 	}
 }
@@ -277,4 +267,51 @@ func BenchmarkNewRandomRegular(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// newAdjacency wraps explicit adjacency lists (copied). Every vertex must
+// have at least one neighbor and all indices must be in range.
+func newAdjacency(adj [][]int) (*Adjacency, error) {
+	n := len(adj)
+	if n == 0 {
+		return nil, errors.New("graph: empty adjacency")
+	}
+	cp := make([][]int, n)
+	for u, nb := range adj {
+		if len(nb) == 0 {
+			return nil, fmt.Errorf("graph: vertex %d has no neighbors", u)
+		}
+		cp[u] = append([]int(nil), nb...)
+		for _, v := range nb {
+			if v < 0 || v >= n {
+				return nil, fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", u, v)
+			}
+		}
+	}
+	return &Adjacency{adj: cp}, nil
+}
+
+// isConnected reports whether g is connected (BFS from vertex 0).
+func isConnected(g Graph) bool {
+	n := g.N()
+	if n == 0 {
+		return false
+	}
+	visited := make([]bool, n)
+	queue := []int{0}
+	visited[0] = true
+	count := 1
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for i := 0; i < g.Degree(u); i++ {
+			v := g.Neighbor(u, i)
+			if !visited[v] {
+				visited[v] = true
+				count++
+				queue = append(queue, v)
+			}
+		}
+	}
+	return count == n
 }

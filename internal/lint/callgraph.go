@@ -20,6 +20,7 @@ type Program struct {
 	// Packages are the packages of the load, in Run order.
 	Packages []*Package
 	decls    map[string]*ProgFunc
+	testonly *testonlyIndex // built by the first testonly pass
 }
 
 // ProgFunc pairs one function declaration with its defining package.

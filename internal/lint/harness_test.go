@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -39,7 +40,7 @@ func testAnalyzer(t *testing.T, a *Analyzer, paths ...string) {
 	// Analyze the whole import closure — the requested fixtures plus any
 	// fixture packages they pulled in — so cross-package analyzers see
 	// every declaration and helper packages stay want-checked too.
-	pkgs := l.FixturePackages()
+	pkgs := l.fixturePackages()
 	var wants []*expectation
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -111,4 +112,20 @@ func matchWant(wants []*expectation, file string, line int, msg string) *expecta
 		}
 	}
 	return nil
+}
+
+// fixturePackages returns every fixture package loaded so far — the
+// packages requested via LoadDir plus the fixture imports they pulled in
+// — sorted by import path.
+func (l *Loader) fixturePackages() []*Package {
+	paths := make([]string, 0, len(l.fixtures))
+	for p := range l.fixtures {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	out := make([]*Package, 0, len(paths))
+	for _, p := range paths {
+		out = append(out, l.fixtures[p])
+	}
+	return out
 }

@@ -28,7 +28,13 @@
 //     interface boxing, string concatenation, fmt calls). A cold branch
 //     inside a hot function can carry a //lint:alloc waiver.
 //   - goroutinefree: no `go` statement may be reachable (through
-//     same-package static calls) from a //consensus:hotpath function.
+//     static calls) from a //consensus:hotpath function.
+//   - streamflow, ctxpoll, strictsync: derived RNG streams have one
+//     owner, //consensus:longrun loops poll their context, and the
+//     scenario schema stays in lock-step with its strict walkers.
+//   - testonly: no exported identifier of an internal/ package may be
+//     referenced only by tests, unless a //lint:testhelper waiver gives
+//     the reason.
 //
 // Copies of sync primitives are left to go vet's copylocks pass, which
 // CI runs on every push.
@@ -81,6 +87,12 @@ const (
 	// shape, is dynamically confined to a single goroutine at a time. Same
 	// line as the Derive site (or the flagged sink) or the line above.
 	ConfinedDirective = "lint:confined"
+	// TestHelperDirective waives a testonly diagnostic: the author asserts
+	// the exported declaration belongs in non-test code although only
+	// tests reach it (a helper several packages' tests share, a reference
+	// tests compare against, a paper quantity only a test computes). It
+	// goes in the declaration's doc comment, followed by the reason.
+	TestHelperDirective = "lint:testhelper"
 )
 
 // TextEdit is one byte-range replacement of a suggested fix. Pos..End is
@@ -268,8 +280,9 @@ func declaredWithin(obj types.Object, lo, hi token.Pos) bool {
 
 // Analyzers returns the full suite in reporting order: the syntactic
 // tier (detrange, rnghygiene, hotalloc) followed by the
-// dataflow tier (goroutinefree, streamflow, ctxpoll, strictsync), which
-// follows the cross-package static call graph.
+// dataflow tier (goroutinefree, streamflow, ctxpoll, strictsync,
+// testonly), which follows the cross-package static call graph and
+// whole-program uses.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DetRangeAnalyzer,
@@ -279,6 +292,7 @@ func Analyzers() []*Analyzer {
 		StreamFlowAnalyzer,
 		CtxPollAnalyzer,
 		StrictSyncAnalyzer,
+		TestOnlyAnalyzer,
 	}
 }
 

@@ -144,6 +144,11 @@ func (li loaderImporter) ImportFrom(path, dir string, mode types.ImportMode) (*t
 // root, skipping testdata, hidden and vendor directories. The returned
 // packages are sorted by import path.
 func (l *Loader) LoadModule(root string) ([]*Package, error) {
+	return l.loadModule(root, nil)
+}
+
+// loadModule is LoadModule leaving out the package directories in skip.
+func (l *Loader) loadModule(root string, skip map[string]bool) ([]*Package, error) {
 	modPath, err := modulePath(root)
 	if err != nil {
 		return nil, err
@@ -171,6 +176,9 @@ func (l *Loader) LoadModule(root string) ([]*Package, error) {
 
 	var pkgs []*Package
 	for _, dir := range dirs {
+		if skip[dir] {
+			continue
+		}
 		bp, err := build.Default.ImportDir(dir, 0)
 		if err != nil {
 			if _, ok := err.(*build.NoGoError); ok {
@@ -261,22 +269,6 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	}
 	l.fixtures[path] = pkg
 	return pkg, nil
-}
-
-// FixturePackages returns every fixture package loaded so far — the
-// packages requested via LoadDir plus the fixture imports they pulled in
-// — sorted by import path.
-func (l *Loader) FixturePackages() []*Package {
-	paths := make([]string, 0, len(l.fixtures))
-	for p := range l.fixtures {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	out := make([]*Package, 0, len(paths))
-	for _, p := range paths {
-		out = append(out, l.fixtures[p])
-	}
-	return out
 }
 
 func (l *Loader) check(dir, path string, names []string) (*Package, error) {

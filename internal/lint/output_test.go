@@ -50,7 +50,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // multi-analyzer run, in the text rendering.
 func TestOutputOrderingGolden(t *testing.T) {
 	l := loadFixtures(t, "ctxpoll", "streamflow", "strictsync", "strictsync/nowalker", "internal/hotcall")
-	diags := Run(l.FixturePackages(), []*Analyzer{
+	diags := Run(l.fixturePackages(), []*Analyzer{
 		GoroutineFreeAnalyzer, StreamFlowAnalyzer, CtxPollAnalyzer, StrictSyncAnalyzer,
 	})
 	var buf bytes.Buffer
@@ -80,7 +80,7 @@ func TestOutputOrderingGolden(t *testing.T) {
 // TestOutputJSONGolden pins the -json schema.
 func TestOutputJSONGolden(t *testing.T) {
 	l := loadFixtures(t, "ctxpoll")
-	diags := Run(l.FixturePackages(), []*Analyzer{CtxPollAnalyzer})
+	diags := Run(l.fixturePackages(), []*Analyzer{CtxPollAnalyzer})
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, "", l.Fset, diags); err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestOutputJSONEmpty(t *testing.T) {
 // TestOutputSARIFGolden pins the -sarif schema (SARIF 2.1.0 subset).
 func TestOutputSARIFGolden(t *testing.T) {
 	l := loadFixtures(t, "ctxpoll")
-	diags := Run(l.FixturePackages(), []*Analyzer{CtxPollAnalyzer})
+	diags := Run(l.fixturePackages(), []*Analyzer{CtxPollAnalyzer})
 	var buf bytes.Buffer
 	if err := WriteSARIF(&buf, "", l.Fset, Analyzers(), diags); err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestOutputSARIFGolden(t *testing.T) {
 // re-lint clean, which is the suggested-fix contract.
 func TestApplyFixesGolden(t *testing.T) {
 	l := loadFixtures(t, "ctxpoll")
-	diags := Run(l.FixturePackages(), []*Analyzer{CtxPollAnalyzer})
+	diags := Run(l.fixturePackages(), []*Analyzer{CtxPollAnalyzer})
 	if len(diags) == 0 {
 		t.Fatal("expected ctxpoll diagnostics to fix")
 	}
@@ -150,7 +150,7 @@ func TestApplyFixesGolden(t *testing.T) {
 	if _, err := l2.LoadDir(dir, "ctxpoll"); err != nil {
 		t.Fatalf("reloading fixed source: %v", err)
 	}
-	if rediags := Run(l2.FixturePackages(), []*Analyzer{CtxPollAnalyzer}); len(rediags) != 0 {
+	if rediags := Run(l2.fixturePackages(), []*Analyzer{CtxPollAnalyzer}); len(rediags) != 0 {
 		pos := l2.Fset.Position(rediags[0].Pos)
 		t.Fatalf("fixed source still has %d diagnostic(s); first: %s: %s", len(rediags), pos, rediags[0].Message)
 	}

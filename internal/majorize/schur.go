@@ -37,24 +37,6 @@ func Battery() []TestFunc {
 	return battery
 }
 
-// TopJSum returns the Schur-convex function x ↦ Σ of the j largest entries.
-func TopJSum(j int) TestFunc {
-	return TestFunc{
-		Name: "top_j",
-		F: func(x []float64) float64 {
-			s := sortedDescFloats(x)
-			if j > len(s) {
-				j = len(s)
-			}
-			sum := 0.0
-			for i := 0; i < j; i++ {
-				sum += s[i]
-			}
-			return sum
-		},
-	}
-}
-
 func maxEntry(x []float64) float64 {
 	m := math.Inf(-1)
 	for _, v := range x {

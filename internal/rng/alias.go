@@ -3,16 +3,16 @@ package rng
 import "math/bits"
 
 // Alias is a Vose alias table for O(1) sampling from a fixed categorical
-// distribution. Build once with NewAlias (O(k)), then Draw repeatedly; when
-// the distribution changes every round, Reset or ResetCounts rebuild the
-// table in place without allocating once the table has reached its
-// steady-state capacity.
+// distribution. Build once with NewAliasCounts (O(k)), then DrawN
+// repeatedly; when the distribution changes every round, Reset or
+// ResetCounts rebuild the table in place without allocating once the table
+// has reached its steady-state capacity.
 //
 // The agent-based simulators use it to draw n node samples per round from
-// the color-frequency distribution. Draw only reads the table, so a single
+// the color-frequency distribution. DrawN only reads the table, so a single
 // Alias may be shared by many goroutines drawing concurrently (each with
 // its own RNG), as the sharded engines do; Reset/ResetCounts must not run
-// concurrently with Draw.
+// concurrently with DrawN.
 type Alias struct {
 	cols []aliasColumn
 
@@ -24,14 +24,6 @@ type Alias struct {
 	weights []float64
 }
 
-// NewAlias builds an alias table over weights (non-negative, not all zero).
-// Weights need not be normalized.
-func NewAlias(weights []float64) *Alias {
-	a := &Alias{}
-	a.Reset(weights)
-	return a
-}
-
 // NewAliasCounts builds an alias table over non-negative integer counts.
 func NewAliasCounts(counts []int) *Alias {
 	a := &Alias{}
@@ -40,23 +32,23 @@ func NewAliasCounts(counts []int) *Alias {
 }
 
 // Reset rebuilds the table over weights in place, reusing the receiver's
-// storage. It panics under the same conditions as NewAlias.
+// storage. It panics unless weights are non-negative and not all zero.
 //
 //consensus:hotpath
 func (a *Alias) Reset(weights []float64) {
 	k := len(weights)
 	if k == 0 {
-		panic("rng: NewAlias requires at least one weight")
+		panic("rng: Alias requires at least one weight")
 	}
 	total := 0.0
 	for _, w := range weights {
 		if w < 0 {
-			panic("rng: NewAlias weights must be non-negative")
+			panic("rng: Alias weights must be non-negative")
 		}
 		total += w
 	}
 	if total <= 0 {
-		panic("rng: NewAlias requires a positive weight")
+		panic("rng: Alias requires a positive weight")
 	}
 
 	a.cols = grow(a.cols, k)
@@ -111,7 +103,8 @@ func (a *Alias) ResetCounts(counts []int) {
 	a.Reset(a.weights)
 }
 
-// Draw returns an index sampled from the table's distribution.
+// DrawN fills dst with independent samples from the table's distribution;
+// the per-node engines feed their strided sample buffers through it.
 //
 // One draw consumes exactly one 64-bit word: the high bits pick the column
 // (via the 128-bit multiply hi = ⌊u·k/2^64⌋) and the multiply's remainder —
@@ -122,18 +115,6 @@ func (a *Alias) ResetCounts(counts []int) {
 // over the full range conditional on hi. Column and fraction are each
 // exact to within k/2^64 — far below the float64 error already present in
 // the table probabilities themselves.
-//
-//consensus:hotpath
-func (a *Alias) Draw(r *RNG) int {
-	hi, lo := bits.Mul64(r.Uint64(), uint64(len(a.cols)))
-	return a.cols[hi].pick(int(hi), lo)
-}
-
-// DrawN fills dst with independent samples from the table's distribution.
-// It draws exactly like Draw — same stream, bit-identical results — but
-// keeps the generator in locals and amortizes the table bounds checks
-// across the batch; the per-node engines feed their strided sample buffers
-// through it.
 //
 //consensus:hotpath
 func (a *Alias) DrawN(r *RNG, dst []int) {

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -9,11 +10,11 @@ import (
 func TestAliasDistribution(t *testing.T) {
 	r := New(20)
 	weights := []float64{1, 3, 0, 6}
-	a := NewAlias(weights)
+	a := newAlias(weights)
 	const draws = 200000
 	counts := make([]int, len(weights))
 	for i := 0; i < draws; i++ {
-		counts[a.Draw(r)]++
+		counts[a.draw(r)]++
 	}
 	if counts[2] != 0 {
 		t.Fatalf("zero-weight category drawn %d times", counts[2])
@@ -30,9 +31,9 @@ func TestAliasDistribution(t *testing.T) {
 
 func TestAliasSingleCategory(t *testing.T) {
 	r := New(21)
-	a := NewAlias([]float64{5})
+	a := newAlias([]float64{5})
 	for i := 0; i < 10; i++ {
-		if got := a.Draw(r); got != 0 {
+		if got := a.draw(r); got != 0 {
 			t.Fatalf("single-category alias drew %d", got)
 		}
 	}
@@ -44,7 +45,7 @@ func TestAliasCounts(t *testing.T) {
 	const draws = 50000
 	counts := make([]int, 3)
 	for i := 0; i < draws; i++ {
-		counts[a.Draw(r)]++
+		counts[a.draw(r)]++
 	}
 	if counts[0] != 0 {
 		t.Fatalf("zero-count category drawn %d times", counts[0])
@@ -55,7 +56,7 @@ func TestAliasCounts(t *testing.T) {
 }
 
 func TestAliasLen(t *testing.T) {
-	if got := NewAlias([]float64{1, 2, 3}).Len(); got != 3 {
+	if got := newAlias([]float64{1, 2, 3}).Len(); got != 3 {
 		t.Fatalf("Len = %d, want 3", got)
 	}
 }
@@ -66,7 +67,7 @@ func TestAliasEmptyPanics(t *testing.T) {
 			t.Fatal("expected panic on empty weights")
 		}
 	}()
-	NewAlias(nil)
+	newAlias(nil)
 }
 
 func TestAliasNegativePanics(t *testing.T) {
@@ -75,7 +76,7 @@ func TestAliasNegativePanics(t *testing.T) {
 			t.Fatal("expected panic on negative weight")
 		}
 	}()
-	NewAlias([]float64{1, -1})
+	newAlias([]float64{1, -1})
 }
 
 func TestAliasAllZeroPanics(t *testing.T) {
@@ -84,7 +85,7 @@ func TestAliasAllZeroPanics(t *testing.T) {
 			t.Fatal("expected panic on all-zero weights")
 		}
 	}()
-	NewAlias([]float64{0, 0})
+	newAlias([]float64{0, 0})
 }
 
 // TestAliasDrawNMatchesDraw: DrawN is specified as the batched form of
@@ -92,13 +93,13 @@ func TestAliasAllZeroPanics(t *testing.T) {
 // must therefore produce identical sequences through either entry point.
 func TestAliasDrawNMatchesDraw(t *testing.T) {
 	weights := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	a := NewAlias(weights)
+	a := newAlias(weights)
 	const n = 4096
 	r1, r2 := New(77), New(77)
 	batched := make([]int, n)
 	a.DrawN(r1, batched)
 	for i := 0; i < n; i++ {
-		if got := a.Draw(r2); got != batched[i] {
+		if got := a.draw(r2); got != batched[i] {
 			t.Fatalf("draw %d: DrawN=%d Draw=%d (streams diverged)", i, batched[i], got)
 		}
 	}
@@ -120,7 +121,7 @@ func TestAliasDrawNLargeK(t *testing.T) {
 			weights[i] = 1
 		}
 	}
-	a := NewAlias(weights)
+	a := newAlias(weights)
 	r := New(78)
 	buf := make([]int, 1<<18)
 	a.DrawN(r, buf)
@@ -150,7 +151,7 @@ func TestAliasDrawNZeroAllocs(t *testing.T) {
 	sink := 0
 	if avg := testing.AllocsPerRun(20, func() {
 		c := aliasColumn{keep: keepThreshold(0.3), alias: 2}
-		sink += a.Draw(r) + c.pick(1, r.Uint64())
+		sink += a.draw(r) + c.pick(1, r.Uint64())
 	}); avg != 0 {
 		t.Fatalf("Draw, pick and keepThreshold allocate %.2f times, want 0", avg)
 	}
@@ -229,9 +230,9 @@ func TestAliasQuickInRangeAndSupported(t *testing.T) {
 		if !positive {
 			weights[0] = 1
 		}
-		a := NewAlias(weights)
+		a := newAlias(weights)
 		for i := 0; i < 32; i++ {
-			idx := a.Draw(r)
+			idx := a.draw(r)
 			if idx < 0 || idx >= len(weights) || weights[idx] <= 0 {
 				return false
 			}
@@ -241,4 +242,20 @@ func TestAliasQuickInRangeAndSupported(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// newAlias builds an alias table over weights (non-negative, not all zero).
+// Weights need not be normalized.
+func newAlias(weights []float64) *Alias {
+	a := &Alias{}
+	a.Reset(weights)
+	return a
+}
+
+// draw returns one index sampled from the table's distribution, consuming
+// one word exactly as each DrawN sample does: the one-sample reference
+// DrawN is held to.
+func (a *Alias) draw(r *RNG) int {
+	hi, lo := bits.Mul64(r.Uint64(), uint64(len(a.cols)))
+	return a.cols[hi].pick(int(hi), lo)
 }

@@ -36,7 +36,7 @@ func TestBinomialZeroAllocs(t *testing.T) {
 // steady-state capacity (here, from construction).
 func TestAliasResetZeroSteadyStateAllocs(t *testing.T) {
 	weights := []float64{5, 1, 3, 7, 2}
-	a := NewAlias(weights)
+	a := newAlias(weights)
 	if avg := testing.AllocsPerRun(100, func() { a.Reset(weights) }); avg != 0 {
 		t.Errorf("Reset allocates %.2f times, want 0", avg)
 	}

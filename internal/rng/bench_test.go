@@ -114,17 +114,17 @@ func BenchmarkCategoricalVsAlias(b *testing.B) {
 		r := New(3)
 		sink := 0
 		for i := 0; i < b.N; i++ {
-			sink += r.Categorical(weights)
+			sink += categorical(r, weights)
 		}
 		_ = sink
 	})
 	b.Run("alias", func(b *testing.B) {
 		r := New(3)
-		a := NewAlias(weights)
+		a := newAlias(weights)
 		b.ResetTimer()
 		sink := 0
 		for i := 0; i < b.N; i++ {
-			sink += a.Draw(r)
+			sink += a.draw(r)
 		}
 		_ = sink
 	})
@@ -132,8 +132,8 @@ func BenchmarkCategoricalVsAlias(b *testing.B) {
 		r := New(3)
 		sink := 0
 		for i := 0; i < b.N; i++ {
-			a := NewAlias(weights)
-			sink += a.Draw(r)
+			a := newAlias(weights)
+			sink += a.draw(r)
 		}
 		_ = sink
 	})
@@ -151,12 +151,12 @@ func BenchmarkAliasDrawN(b *testing.B) {
 	for i := range weights {
 		weights[i] = float64(i%7 + 1)
 	}
-	a := NewAlias(weights)
+	a := newAlias(weights)
 	b.Run("draw", func(b *testing.B) {
 		r := New(4)
 		sink := 0
 		for i := 0; i < b.N; i++ {
-			sink += a.Draw(r)
+			sink += a.draw(r)
 		}
 		_ = sink
 	})

@@ -205,7 +205,7 @@ func FuzzAliasCounts(f *testing.F) {
 		const draws = 256
 		freq := make([]int, len(counts))
 		for i := 0; i < draws; i++ {
-			s := a.Draw(r)
+			s := a.draw(r)
 			if s < 0 || s >= len(counts) {
 				t.Fatalf("Draw = %d outside [0, %d)", s, len(counts))
 			}
@@ -231,7 +231,7 @@ func FuzzAliasCounts(f *testing.F) {
 			t.Fatalf("heaviest slot %d drawn with frequency %.3f, want ~%.3f (8se=%.3f)", heavy, got, ph, 8*se)
 		}
 		for i := 0; i < 32; i++ {
-			if s := a.Draw(r); counts[s] == 0 {
+			if s := a.draw(r); counts[s] == 0 {
 				t.Fatalf("after ResetCounts: Draw returned dead slot %d", s)
 			}
 		}
@@ -270,7 +270,7 @@ func FuzzAliasDrawN(f *testing.F) {
 		buf := make([]int, 512)
 		a.DrawN(r1, buf)
 		for i, v := range buf {
-			if got := a.Draw(r2); got != v {
+			if got := a.draw(r2); got != v {
 				t.Fatalf("draw %d: DrawN=%d Draw=%d (streams diverged)", i, v, got)
 			}
 			if v < 0 || v >= len(counts) || counts[v] == 0 {
@@ -290,7 +290,7 @@ func FuzzAliasDrawN(f *testing.F) {
 			freqN[v]++
 		}
 		for i := 0; i < draws; i++ {
-			freqD[a.Draw(rd)]++
+			freqD[a.draw(rd)]++
 		}
 		chi, err := stats.ChiSquareHomogeneity(freqN, freqD)
 		if err != nil {

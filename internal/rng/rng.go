@@ -144,16 +144,6 @@ func (r *RNG) FillIntN(n int, dst []int) {
 	r.pcg = g
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
 // Shuffle randomizes the order of n elements using swap: a Fisher–Yates
 // pass from the back, swapping i with a uniform j in [0, i]. It panics if
 // n < 0.
@@ -487,40 +477,6 @@ func (r *RNG) skipGap(lq float64, n int) int {
 	return int(g)
 }
 
-// Categorical returns an index sampled proportionally to probs (which need
-// not be normalized). It panics if no entry is positive. Linear time; use
-// NewAlias for repeated draws from a fixed distribution.
-//
-//consensus:hotpath
-func (r *RNG) Categorical(probs []float64) int {
-	total := 0.0
-	for _, p := range probs {
-		if p > 0 {
-			total += p
-		}
-	}
-	if total <= 0 {
-		panic("rng: Categorical requires a positive entry")
-	}
-	u := r.Float64() * total
-	for i, p := range probs {
-		if p <= 0 {
-			continue
-		}
-		u -= p
-		if u < 0 {
-			return i
-		}
-	}
-	// Floating-point slack: return the last positive entry.
-	for i := len(probs) - 1; i >= 0; i-- {
-		if probs[i] > 0 {
-			return i
-		}
-	}
-	return 0
-}
-
 // CategoricalCounts returns an index sampled proportionally to integer
 // counts whose sum is total. It panics if total <= 0 or the counts sum to
 // less than the drawn threshold.
@@ -541,20 +497,6 @@ func (r *RNG) CategoricalCounts(counts []int, total int) int {
 		}
 	}
 	panic("rng: CategoricalCounts counts sum below total")
-}
-
-// Geometric returns the number of failures before the first success in
-// Bernoulli(p) trials. p must be in (0, 1].
-//
-//consensus:hotpath
-func (r *RNG) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		panic("rng: Geometric requires p in (0, 1]")
-	}
-	return r.skipGap(math.Log1p(-p), math.MaxInt)
 }
 
 // splitMix64 is the SplitMix64 finalizer, used for seed derivation.

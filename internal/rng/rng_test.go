@@ -287,7 +287,7 @@ func TestCategoricalDistribution(t *testing.T) {
 	const draws = 100000
 	counts := make([]int, len(probs))
 	for i := 0; i < draws; i++ {
-		counts[r.Categorical(probs)]++
+		counts[categorical(r, probs)]++
 	}
 	if counts[1] != 0 {
 		t.Fatalf("zero-probability category drawn %d times", counts[1])
@@ -321,7 +321,7 @@ func TestGeometricMean(t *testing.T) {
 	const p, draws = 0.2, 100000
 	sum := 0.0
 	for i := 0; i < draws; i++ {
-		g := r.Geometric(p)
+		g := geometric(r, p)
 		if g < 0 {
 			t.Fatalf("Geometric returned %d", g)
 		}
@@ -334,7 +334,7 @@ func TestGeometricMean(t *testing.T) {
 }
 
 func TestGeometricEdge(t *testing.T) {
-	if got := New(18).Geometric(1); got != 0 {
+	if got := geometric(New(18), 1); got != 0 {
 		t.Fatalf("Geometric(1) = %d", got)
 	}
 }
@@ -390,4 +390,48 @@ func TestFillIntNZeroAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(20, func() { r.FillIntN(12, dst) }); avg != 0 {
 		t.Fatalf("FillIntN allocates %.2f times per batch, want 0", avg)
 	}
+}
+
+// categorical returns an index sampled proportionally to probs (which need
+// not be normalized). It panics if no entry is positive. Linear time; use
+// an Alias for repeated draws from a fixed distribution.
+func categorical(r *RNG, probs []float64) int {
+	total := 0.0
+	for _, p := range probs {
+		if p > 0 {
+			total += p
+		}
+	}
+	if total <= 0 {
+		panic("rng: categorical requires a positive entry")
+	}
+	u := r.Float64() * total
+	for i, p := range probs {
+		if p <= 0 {
+			continue
+		}
+		u -= p
+		if u < 0 {
+			return i
+		}
+	}
+	// Floating-point slack: return the last positive entry.
+	for i := len(probs) - 1; i >= 0; i-- {
+		if probs[i] > 0 {
+			return i
+		}
+	}
+	return 0
+}
+
+// geometric returns the number of failures before the first success in
+// Bernoulli(p) trials. p must be in (0, 1].
+func geometric(r *RNG, p float64) int {
+	if p >= 1 {
+		return 0
+	}
+	if p <= 0 {
+		panic("rng: geometric requires p in (0, 1]")
+	}
+	return r.skipGap(math.Log1p(-p), math.MaxInt)
 }

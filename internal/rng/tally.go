@@ -45,7 +45,7 @@ var tallyPool = sync.Pool{New: func() any { return new(tallyScratch) }}
 // The table is Vose's alias method: columns scaled to mean 1 are split into
 // small (< 1) and large ones, and each small column is topped up from a
 // large one, which becomes its alias. One draw takes one 64-bit word, as
-// Alias.Draw does: the multiply's high bits pick the column and its
+// Alias.DrawN does: the multiply's high bits pick the column and its
 // remainder is the fraction compared with keep.
 //
 //consensus:hotpath

@@ -21,6 +21,8 @@ var _ core.ACProcess = (*AC)(nil)
 // NewAC returns an AC-process with the given name and process function.
 // alphaFn must write a probability vector of length c.Slots() into out
 // (allocating when out is nil) and return it.
+//
+//lint:testhelper the rules and core tests build AC-processes beyond the named rules with it
 func NewAC(name string, alphaFn func(c *config.Config, out []float64) []float64) *AC {
 	if alphaFn == nil {
 		panic("rules: NewAC requires a process function")

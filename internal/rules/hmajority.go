@@ -45,9 +45,6 @@ func NewHMajority(h int) *HMajority {
 	return &HMajority{h: h}
 }
 
-// H returns the sample size h.
-func (m *HMajority) H() int { return m.h }
-
 // Name implements core.Rule.
 func (m *HMajority) Name() string { return fmt.Sprintf("%d-majority", m.h) }
 

@@ -48,9 +48,6 @@ func NewLazyVoter(beta float64) *LazyVoter {
 	return &LazyVoter{beta: beta}
 }
 
-// Beta returns the laziness probability.
-func (l *LazyVoter) Beta() float64 { return l.beta }
-
 // Name implements core.Rule.
 func (l *LazyVoter) Name() string { return fmt.Sprintf("lazy-voter(%.2f)", l.beta) }
 

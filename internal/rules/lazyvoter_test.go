@@ -10,8 +10,8 @@ import (
 
 func TestLazyVoterConstructor(t *testing.T) {
 	l := NewLazyVoter(0.5)
-	if l.Beta() != 0.5 {
-		t.Fatalf("Beta = %v", l.Beta())
+	if l.beta != 0.5 {
+		t.Fatalf("Beta = %v", l.beta)
 	}
 	if l.Name() != "lazy-voter(0.50)" {
 		t.Fatalf("Name = %q", l.Name())

@@ -367,7 +367,7 @@ func TestUndecidedProducesUndecidedNodes(t *testing.T) {
 	u := NewUndecided()
 	c := config.Balanced(1000, 10)
 	u.Step(c, r)
-	if UndecidedCount(c) == 0 {
+	if undecidedCount(c) == 0 {
 		t.Fatal("balanced 10-color round should create undecided nodes")
 	}
 	if err := c.CheckInvariant(); err != nil {
@@ -383,7 +383,7 @@ func TestUndecidedPathologyKEqualsN(t *testing.T) {
 	u := NewUndecided()
 	c := config.Singleton(2000)
 	u.Step(c, r)
-	frac := float64(UndecidedCount(c)) / 2000
+	frac := float64(undecidedCount(c)) / 2000
 	// Each node goes undecided w.p. (n - 1 - 0)/n ≈ 1.
 	if frac < 0.95 {
 		t.Fatalf("undecided fraction %.3f, want ~1 for k = n", frac)
@@ -394,10 +394,10 @@ func TestUndecidedRealColors(t *testing.T) {
 	c := config.Balanced(100, 4)
 	u := NewUndecided()
 	u.Prepare(c)
-	if got := RealColors(c); got != 4 {
+	if got := realColors(c); got != 4 {
 		t.Fatalf("RealColors = %d, want 4", got)
 	}
-	if got := UndecidedCount(c); got != 0 {
+	if got := undecidedCount(c); got != 0 {
 		t.Fatalf("UndecidedCount = %d, want 0", got)
 	}
 }
@@ -461,4 +461,25 @@ func TestQuickAllRulesPreserveN(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// realColors returns the number of decided colors with positive support
+// (Remaining excluding the undecided slot).
+func realColors(c *config.Config) int {
+	k := 0
+	for s := 0; s < c.Slots(); s++ {
+		if c.Label(s) != UndecidedLabel && c.Count(s) > 0 {
+			k++
+		}
+	}
+	return k
+}
+
+// undecidedCount returns the number of undecided nodes (0 if the slot does
+// not exist yet).
+func undecidedCount(c *config.Config) int {
+	if s := undecidedSlot(c); s >= 0 {
+		return c.Count(s)
+	}
+	return 0
 }

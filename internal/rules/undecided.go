@@ -20,8 +20,7 @@ const UndecidedLabel = -1
 //
 // The paper notes the k = n pathology: started from the n-color
 // configuration, a constant fraction of nodes goes undecided immediately
-// and the dynamics can fail to preserve any color. RealColors exposes the
-// decided-color count so experiments can observe exactly that.
+// and the dynamics can fail to preserve any color.
 //
 // The batch step is exact and O(k): with u undecided nodes, a decided node
 // of color j stays decided with probability (c_j + u)/n (keepers_j ~
@@ -102,27 +101,6 @@ func (u *Undecided) Step(c *config.Config, r *rng.RNG) {
 	}
 	u.next[us] = newUndecided
 	copy(counts, u.next)
-}
-
-// RealColors returns the number of decided colors with positive support
-// (Remaining excluding the undecided slot).
-func RealColors(c *config.Config) int {
-	k := 0
-	for s := 0; s < c.Slots(); s++ {
-		if c.Label(s) != UndecidedLabel && c.Count(s) > 0 {
-			k++
-		}
-	}
-	return k
-}
-
-// UndecidedCount returns the number of undecided nodes (0 if the slot does
-// not exist yet).
-func UndecidedCount(c *config.Config) int {
-	if s := undecidedSlot(c); s >= 0 {
-		return c.Count(s)
-	}
-	return 0
 }
 
 func undecidedSlot(c *config.Config) int {

@@ -36,7 +36,7 @@ func TestBehaviorSingleGroupBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("p=%d plain: %v", p, err)
 		}
-		grouped, err := plainRunner.With(
+		grouped, err := plainRunner.with(
 			WithNodeBehaviors(blockAssign(300), []NodeBehavior{{}}),
 		).Run(context.Background(), start)
 		if err != nil {

@@ -125,7 +125,7 @@ func shardedTimes(t *testing.T, rn *Runner, start *config.Config, reps int, seed
 	t.Helper()
 	times := make([]float64, reps)
 	for i := 0; i < reps; i++ {
-		res, err := rn.With(WithSeed(seed+uint64(i))).Run(context.Background(), start)
+		res, err := rn.with(WithSeed(seed+uint64(i))).Run(context.Background(), start)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,9 +158,9 @@ func TestShardedAgentsMatchesSequential(t *testing.T) {
 	start := config.Balanced(n, k)
 	rn := NewFactoryRunner(func() core.Rule { return rules.NewThreeMajority() },
 		WithEngine(EngineAgents))
-	seq := shardedTimes(t, rn.With(WithParallelism(1)), start, reps, 9000)
+	seq := shardedTimes(t, rn.with(WithParallelism(1)), start, reps, 9000)
 	for _, p := range []int{2, 4, 8} {
-		par := shardedTimes(t, rn.With(WithParallelism(p)), start, reps, 9100+uint64(p)*100)
+		par := shardedTimes(t, rn.with(WithParallelism(p)), start, reps, 9100+uint64(p)*100)
 		assertIndistinguishable(t, fmt.Sprintf("agents p=%d", p), seq, par)
 	}
 }
@@ -181,9 +181,9 @@ func TestShardedGraphMatchesSequential(t *testing.T) {
 	}
 	rn := NewFactoryRunner(func() core.Rule { return rules.NewThreeMajority() },
 		WithGraph(g), WithMaxRounds(20_000))
-	seq := shardedTimes(t, rn.With(WithParallelism(1)), start, reps, 9500)
+	seq := shardedTimes(t, rn.with(WithParallelism(1)), start, reps, 9500)
 	for _, p := range []int{2, 4, 8} {
-		par := shardedTimes(t, rn.With(WithParallelism(p)), start, reps, 9600+uint64(p)*100)
+		par := shardedTimes(t, rn.with(WithParallelism(p)), start, reps, 9600+uint64(p)*100)
 		assertIndistinguishable(t, fmt.Sprintf("graph p=%d", p), seq, par)
 	}
 }
@@ -202,9 +202,9 @@ func TestShardedAgentsUnderAdversaryMatchesSequential(t *testing.T) {
 		WithEngine(EngineAgents),
 		WithAdversary(&adversary.RandomNoise{F: 2}, 0.1, 10),
 		WithMaxRounds(5000))
-	seq := shardedTimes(t, rn.With(WithParallelism(1)), start, reps, 9800)
+	seq := shardedTimes(t, rn.with(WithParallelism(1)), start, reps, 9800)
 	for _, p := range []int{2, 4} {
-		par := shardedTimes(t, rn.With(WithParallelism(p)), start, reps, 9850+uint64(p)*25)
+		par := shardedTimes(t, rn.with(WithParallelism(p)), start, reps, 9850+uint64(p)*25)
 		assertIndistinguishable(t, fmt.Sprintf("agents+adversary p=%d", p), seq, par)
 	}
 }
@@ -224,7 +224,7 @@ func TestShardedWinnerDistributionMatches(t *testing.T) {
 	tally := func(p int, seed uint64) []int {
 		wins := make([]int, k)
 		for i := 0; i < reps; i++ {
-			res, err := rn.With(WithParallelism(p), WithSeed(seed+uint64(i))).Run(context.Background(), start)
+			res, err := rn.with(WithParallelism(p), WithSeed(seed+uint64(i))).Run(context.Background(), start)
 			if err != nil {
 				t.Fatal(err)
 			}

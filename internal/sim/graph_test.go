@@ -99,11 +99,11 @@ func TestGraphCompleteRunsAgentsKernel(t *testing.T) {
 		for _, p := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s/p=%d", tc.name, p), func(t *testing.T) {
 				rn := NewFactoryRunner(tc.factory, append([]Option{WithParallelism(p), WithSeed(78), WithTrace(1)}, tc.opts...)...)
-				agents, err := rn.With(WithEngine(EngineAgents)).Run(context.Background(), tc.start)
+				agents, err := rn.with(WithEngine(EngineAgents)).Run(context.Background(), tc.start)
 				if err != nil {
 					t.Fatal(err)
 				}
-				g, err := rn.With(WithGraph(graph.NewComplete(tc.start.N()))).Run(context.Background(), tc.start)
+				g, err := rn.with(WithGraph(graph.NewComplete(tc.start.N()))).Run(context.Background(), tc.start)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -113,7 +113,7 @@ func TestHybridMatchesBatchDistribution(t *testing.T) {
 				times = make([]float64, reps)
 				wins = make([]int, 2)
 				for i := 0; i < reps; i++ {
-					res, err := rn.With(WithSeed(seed+uint64(i))).Run(context.Background(), start)
+					res, err := rn.with(WithSeed(seed+uint64(i))).Run(context.Background(), start)
 					if err != nil {
 						t.Fatal(err)
 					}

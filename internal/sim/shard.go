@@ -15,9 +15,10 @@ import (
 // enough to amortize the RNG dispatch, small enough to stay in L1.
 const sampleChunk = 256
 
-// shardSetup is the per-shard state both per-node engines share: one rule
-// instance, one derived random stream and one strided sample buffer
-// (sampleChunk·h entries) per shard.
+// shardSetup is the per-shard state of the agents kernel, which runs the
+// agents, graph and zero-latency cluster engines: one rule instance, one
+// derived random stream and one strided sample buffer (sampleChunk·h
+// entries) per shard.
 type shardSetup struct {
 	rules   []core.NodeRule
 	streams []*rng.RNG

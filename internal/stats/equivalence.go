@@ -27,6 +27,8 @@ import (
 // DefaultEquivalenceAlpha is the per-comparison false-positive budget the
 // cross-validation suites use: a true-null comparison fails with
 // probability <= 1e-3 (see the package-level note on seeding).
+//
+//lint:testhelper the equivalence suites of four packages share this budget
 const DefaultEquivalenceAlpha = 1e-3
 
 // KSResult is the outcome of a two-sample Kolmogorov–Smirnov test.
@@ -191,6 +193,8 @@ func ChiSquareUniform(counts []int) (ChiSquareResult, error) {
 // with a long tail of rare outcomes can be passed as is. An observation in
 // a zero-probability category is impossible under the null and gives
 // P = 0. df = (#cells - 1).
+//
+//lint:testhelper the rng, rules and stats tests check their samplers against exact pmfs with it
 func ChiSquareGOF(observed []int, probs []float64) (ChiSquareResult, error) {
 	if len(observed) != len(probs) {
 		return ChiSquareResult{}, errors.New("stats: ChiSquareGOF length mismatch")

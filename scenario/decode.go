@@ -369,7 +369,7 @@ func (s *Scenario) validateDefaults(d *RunDefaults, path string) error {
 			return fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
 		if d.Stop.When != nil {
-			if _, ok := lookupStopPredicate(d.Stop.When.Name); !ok {
+			if _, ok := stopPredicates[d.Stop.When.Name]; !ok {
 				return fail("stop.when.name", "unknown stop predicate %q (registered: %s)",
 					d.Stop.When.Name, strings.Join(stopPredicateNames(), ", "))
 			}

@@ -286,7 +286,7 @@ func executeRun(ctx context.Context, spec *RunSpec, start *config.Config, g grap
 		}))
 	}
 	if spec.StopWhen != nil {
-		pred, ok := lookupStopPredicate(spec.StopWhen.Name)
+		pred, ok := stopPredicates[spec.StopWhen.Name]
 		if !ok {
 			return nil, fmt.Errorf("unknown stop predicate %q", spec.StopWhen.Name)
 		}

@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 )
 
@@ -582,15 +581,4 @@ func resolveFastForward(fs *FastForwardSpec, scale Scale, env map[string]float64
 		return nil, fmt.Errorf("fast_forward.extinction_floor: must be >= 0, got %v", ff.ExtinctionFloor)
 	}
 	return ff, nil
-}
-
-// VarNames returns the sorted numeric variable names a cell binds —
-// handy for diagnostics.
-func (r *RunSpec) VarNames() []string {
-	names := make([]string, 0, len(r.Vars))
-	for k := range r.Vars {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -40,28 +40,30 @@ type StopPredicate func(threshold int) func(round int, c *Config) bool
 
 var registry = struct {
 	sync.RWMutex
-	reducers   map[string]Reducer
-	adapters   map[string]Adapter
-	predicates map[string]StopPredicate
+	reducers map[string]Reducer
+	adapters map[string]Adapter
 }{
 	reducers: map[string]Reducer{"summary": summaryReduce},
 	adapters: map[string]Adapter{},
-	predicates: map[string]StopPredicate{
-		"max-support-exceeds": func(threshold int) func(int, *Config) bool {
-			return func(_ int, c *Config) bool {
-				_, maxSup := c.Max()
-				return maxSup > threshold
-			}
-		},
-		"bias-at-least": func(threshold int) func(int, *Config) bool {
-			return func(_ int, c *Config) bool { return c.Bias() >= threshold }
-		},
-		"colors-at-most": func(threshold int) func(int, *Config) bool {
-			return func(_ int, c *Config) bool { return c.Remaining() <= threshold }
-		},
-		"round-at-least": func(threshold int) func(int, *Config) bool {
-			return func(round int, _ *Config) bool { return round >= threshold }
-		},
+}
+
+// stopPredicates are the named conditions a spec's stop.when can use. The
+// set is fixed, so it is read without the registry lock.
+var stopPredicates = map[string]StopPredicate{
+	"max-support-exceeds": func(threshold int) func(int, *Config) bool {
+		return func(_ int, c *Config) bool {
+			_, maxSup := c.Max()
+			return maxSup > threshold
+		}
+	},
+	"bias-at-least": func(threshold int) func(int, *Config) bool {
+		return func(_ int, c *Config) bool { return c.Bias() >= threshold }
+	},
+	"colors-at-most": func(threshold int) func(int, *Config) bool {
+		return func(_ int, c *Config) bool { return c.Remaining() <= threshold }
+	},
+	"round-at-least": func(threshold int) func(int, *Config) bool {
+		return func(round int, _ *Config) bool { return round >= threshold }
 	},
 }
 
@@ -85,16 +87,6 @@ func RegisterAdapter(name string, a Adapter) {
 	registry.adapters[name] = a
 }
 
-// RegisterStopPredicate registers (or replaces) a named stop predicate.
-func RegisterStopPredicate(name string, p StopPredicate) {
-	if name == "" || p == nil {
-		panic("scenario: RegisterStopPredicate needs a name and a function")
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	registry.predicates[name] = p
-}
-
 func lookupReducer(name string) (Reducer, bool) {
 	registry.RLock()
 	defer registry.RUnlock()
@@ -109,18 +101,9 @@ func lookupAdapter(name string) (Adapter, bool) {
 	return a, ok
 }
 
-func lookupStopPredicate(name string) (StopPredicate, bool) {
-	registry.RLock()
-	defer registry.RUnlock()
-	p, ok := registry.predicates[name]
-	return p, ok
-}
-
 func stopPredicateNames() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	names := make([]string, 0, len(registry.predicates))
-	for name := range registry.predicates {
+	names := make([]string, 0, len(stopPredicates))
+	for name := range stopPredicates {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -148,19 +131,6 @@ func adapterNames() []string {
 	sort.Strings(names)
 	return names
 }
-
-// RegisteredReducers returns the names of all registered reducers in
-// sorted order, so listings (and the error messages built from them) are
-// byte-stable across runs.
-func RegisteredReducers() []string { return reducerNames() }
-
-// RegisteredAdapters returns the names of all registered custom-scenario
-// adapters in sorted order.
-func RegisteredAdapters() []string { return adapterNames() }
-
-// RegisteredStopPredicates returns the names of all registered stop
-// predicates in sorted order.
-func RegisteredStopPredicates() []string { return stopPredicateNames() }
 
 // adversaryByNameCheck validates an adversary name without keeping the
 // instance.
