@@ -19,9 +19,12 @@ package consensus_test
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"testing"
 
 	consensus "github.com/ignorecomply/consensus"
+	"github.com/ignorecomply/consensus/scenario"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -138,6 +141,64 @@ func BenchmarkClusterRound(b *testing.B) {
 		rounds += res.Rounds
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds)/n, "ns/node-round")
+}
+
+// BenchmarkSuiteReplicas prices the scenario layer's per-run work on the
+// paper-batch workload's biased regime (the ff-batch family's k = 2
+// cell): 3-Majority on the batch engine at n = 10^6 from a two-color
+// start with bias ceil(4·√(n ln n)), 2,000 replicas on one worker. The
+// suite sub-benchmark runs the cell as a scenario document through
+// scenario.RunChecked (expansion, stream derivation, the replica pool,
+// reduction and the expect check); the runner sub-benchmark runs the
+// same replicas on the same streams through Runner.RunReplicas. Their
+// ns/run difference is what the suite layer costs per run.
+func BenchmarkSuiteReplicas(b *testing.B) {
+	const (
+		n        = 1_000_000
+		k        = 2
+		replicas = 2000
+		seed     = 1
+	)
+	bias := int(math.Ceil(4 * math.Sqrt(n*math.Log(n))))
+	b.Run("suite", func(b *testing.B) {
+		s, err := scenario.DecodeBytes([]byte(fmt.Sprintf(`{
+			"schema": 1, "name": "suite-replicas", "params": {"n": %d}, "replicas": %d,
+			"rule": {"name": "3-majority"},
+			"init": {"generator": "biased", "k": %d, "bias": %d},
+			"stop": {"max_rounds": 10000},
+			"expect": [{"name": "every replica reaches consensus", "converged": {"min_fraction": 1}}]
+		}`, n, replicas, k, bias)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := scenario.Params{Seed: seed, Scale: scenario.Quick, Workers: 1}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := scenario.RunChecked(context.Background(), s, p); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*replicas), "ns/run")
+	})
+	b.Run("runner", func(b *testing.B) {
+		cfg := consensus.BiasedConfig(n, k, bias)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			runner := consensus.NewFactoryRunner(func() consensus.Rule { return consensus.NewThreeMajority() },
+				consensus.WithMaxRounds(10000),
+				consensus.WithRNG(consensus.NewRNG(seed)))
+			results, err := runner.RunReplicas(context.Background(), cfg, replicas, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, res := range results {
+				if !res.Converged {
+					b.Fatal("a replica did not reach consensus")
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*replicas), "ns/run")
+	})
 }
 
 // BenchmarkAblationLaziness contrasts plain Voter against the [BGKMT16]

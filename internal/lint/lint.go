@@ -219,13 +219,14 @@ func (p *Pass) Waived(pos token.Pos, directive string) bool {
 }
 
 // HasDirective reports whether the doc comment group carries the given
-// directive.
+// directive: a comment line that is the directive itself, so prose that
+// quotes a directive does not carry it.
 func HasDirective(doc *ast.CommentGroup, directive string) bool {
 	if doc == nil {
 		return false
 	}
 	for _, c := range doc.List {
-		if strings.Contains(c.Text, "//"+directive) {
+		if strings.TrimSpace(c.Text) == "//"+directive {
 			return true
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/ignorecomply/consensus/internal/config"
 	"github.com/ignorecomply/consensus/internal/core"
@@ -90,19 +91,25 @@ type Runner struct {
 	rule    core.Rule
 	factory core.Factory
 	opts    []Option
+	// o holds opts applied once at construction; err is their validation
+	// error, which every run reports.
+	o   options
+	err error
 }
 
 // NewRunner builds a Runner around a single rule instance. It drives the
 // batch, agents and graph engines; the cluster engine and RunReplicas need
 // one rule instance per worker and therefore a NewFactoryRunner.
 func NewRunner(rule core.Rule, opts ...Option) *Runner {
-	return &Runner{rule: rule, opts: opts}
+	o, err := buildOptions(opts)
+	return &Runner{rule: rule, opts: opts, o: o, err: err}
 }
 
 // NewFactoryRunner builds a Runner that creates a fresh rule instance per
 // run, per replica, and (on the cluster engine) per worker lane.
 func NewFactoryRunner(factory core.Factory, opts ...Option) *Runner {
-	return &Runner{factory: factory, opts: opts}
+	o, err := buildOptions(opts)
+	return &Runner{factory: factory, opts: opts, o: o, err: err}
 }
 
 // instance returns a rule instance for one run.
@@ -127,7 +134,7 @@ func (rn *Runner) instance() (core.Rule, error) {
 // cancellation returns the partial Result for the rounds completed so
 // far alongside the error.
 func (rn *Runner) Run(ctx context.Context, start *config.Config) (*Result, error) {
-	o, err := rn.buildRunOptions(ctx)
+	o, err := rn.runOptions(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -148,15 +155,9 @@ func (rn *Runner) RunReplicas(ctx context.Context, start *config.Config, replica
 	if replicas <= 0 {
 		return nil, errors.New("sim: replicas must be positive")
 	}
-	o, err := rn.buildRunOptions(ctx)
+	o, err := rn.runOptions(ctx)
 	if err != nil {
 		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > replicas {
-		workers = replicas
 	}
 	// The replica pool already saturates the cores; per-replica engine
 	// sharding defaults to sequential unless the caller asked for it.
@@ -174,29 +175,9 @@ func (rn *Runner) RunReplicas(ctx context.Context, start *config.Config, replica
 
 	results := make([]*Result, replicas)
 	errs := make([]error, replicas)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				res, err := rn.runOnce(start, streams[i], o)
-				results[i] = res
-				errs[i] = err
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < replicas; i++ {
-		select {
-		case jobs <- i:
-		case <-o.ctx.Done():
-			break dispatch
-		}
-	}
-	close(jobs)
-	wg.Wait()
+	RunPool(o.ctx, replicas, workers, func(i int) {
+		results[i], errs[i] = rn.runOnce(start, streams[i], o)
+	})
 
 	// A context cancelled only after the last replica finished must not
 	// discard the fully-computed results: report cancellation only when it
@@ -222,15 +203,58 @@ dispatch:
 	return nil, errors.New("sim: replicas incomplete without a cause")
 }
 
-func (rn *Runner) buildRunOptions(ctx context.Context) (options, error) {
-	o, err := buildOptions(rn.opts)
-	if err != nil {
-		return o, err
+// RunPool calls run(i) for every i in [0, n) on up to workers goroutines
+// (workers <= 0 means GOMAXPROCS) and returns once every call has
+// returned. Each worker takes the next index from a shared counter, so
+// indices are taken in increasing order, and checks ctx before taking one: a
+// cancelled pool starts no further call, while calls already running see
+// ctx themselves. RunReplicas and the scenario executor share it.
+//
+//consensus:longrun
+func RunPool(ctx context.Context, n, workers int, run func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				if ctx.Err() != nil {
+					return
+				}
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				run(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// runOptions returns the Runner's options for one run under ctx.
+func (rn *Runner) runOptions(ctx context.Context) (options, error) {
+	o := rn.o
 	if ctx != nil {
 		o.ctx = ctx
 	}
-	return o, nil
+	return o, rn.err
+}
+
+// RunStream is rn.Run drawing from r instead of rn's configured source:
+// a caller that derives its replicas' streams itself (the scenario
+// executor) runs every replica of a group through one Runner.
+func RunStream(ctx context.Context, rn *Runner, start *config.Config, r *rng.RNG) (*Result, error) {
+	o, err := rn.runOptions(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return rn.runOnce(start, r, o)
 }
 
 // runOnce dispatches a single run to the selected engine.

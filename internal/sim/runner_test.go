@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/ignorecomply/consensus/internal/adversary"
@@ -33,6 +35,17 @@ func engineRunners(n int, extra ...Option) map[string]*Runner {
 	}
 }
 
+// sortedNames returns the runners' names in sorted order, so the engines
+// run and compare in the same order every time.
+func sortedNames(runners map[string]*Runner) []string {
+	names := make([]string, 0, len(runners))
+	for name := range runners {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
 // TestRunnerCrossEngineConsistency: the four engines simulate the same
 // synchronous 3-Majority process, so from the same workload their
 // consensus-round distributions must be statistically indistinguishable
@@ -50,7 +63,9 @@ func TestRunnerCrossEngineConsistency(t *testing.T) {
 		rounds []float64
 	}
 	var samples []sample
-	for name, rn := range engineRunners(n) {
+	runners := engineRunners(n)
+	for _, name := range sortedNames(runners) {
+		rn := runners[name]
 		results, err := rn.RunReplicas(ctx, start, reps, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -106,7 +121,9 @@ func TestRunnerAdversaryOnEveryEngine(t *testing.T) {
 		rounds []float64
 	}
 	var samples []sample
-	for name, rn := range engineRunners(n, extra...) {
+	runners := engineRunners(n, extra...)
+	for _, name := range sortedNames(runners) {
+		rn := runners[name]
 		results, err := rn.RunReplicas(ctx, start, reps, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -499,6 +516,40 @@ func TestRunnerContextCancellation(t *testing.T) {
 	})
 }
 
+// TestRunPool: every index runs exactly once at any worker count, and a
+// cancellation stops the pool from taking further indices. Calls after
+// the k-th wait until it has cancelled, so each other worker holds at
+// most one call past the k-th and must then stop.
+func TestRunPool(t *testing.T) {
+	const n = 50
+	for _, workers := range []int{0, 1, 3, n + 5} {
+		counts := make([]atomic.Int32, n)
+		RunPool(context.Background(), n, workers, func(i int) { counts[i].Add(1) })
+		for i := range counts {
+			if got := counts[i].Load(); got != 1 {
+				t.Fatalf("workers = %d: index %d ran %d times", workers, i, got)
+			}
+		}
+	}
+	const k, workers = 5, 3
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var calls atomic.Int64
+	cancelled := make(chan struct{})
+	RunPool(ctx, n, workers, func(int) {
+		switch c := calls.Add(1); {
+		case c == k:
+			cancel()
+			close(cancelled)
+		case c > k:
+			<-cancelled
+		}
+	})
+	if got := calls.Load(); got < k || got > k+workers-1 {
+		t.Fatalf("%d calls with a cancel at call %d, want %d to %d", got, k, k, k+workers-1)
+	}
+}
+
 // TestRunnerWith: With extends a runner without mutating the receiver.
 func TestRunnerWith(t *testing.T) {
 	base := NewFactoryRunner(threeMajorityFactory, WithSeed(5))
@@ -549,7 +600,9 @@ func TestRunnerSeedDeterminism(t *testing.T) {
 // with returns a new Runner with opts appended to the receiver's options
 // (later options win), leaving the receiver unchanged.
 func (rn *Runner) with(opts ...Option) *Runner {
-	cp := *rn
-	cp.opts = append(append([]Option(nil), rn.opts...), opts...)
-	return &cp
+	all := append(append([]Option(nil), rn.opts...), opts...)
+	if rn.factory != nil {
+		return NewFactoryRunner(rn.factory, all...)
+	}
+	return NewRunner(rn.rule, all...)
 }

@@ -3,8 +3,6 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"github.com/ignorecomply/consensus/internal/adversary"
 	"github.com/ignorecomply/consensus/internal/cluster"
@@ -60,11 +58,11 @@ type GroupResult struct {
 	// Results are the replica results in replica order.
 	Results []*Result
 
-	// graph is the group's interaction topology (graph engine only).
-	graph graph.Graph
 	// grouped carries the per-node group assignment and invalid labels of
 	// a heterogeneous start (nodes section only).
 	grouped *groupedStart
+	// runner runs every replica of the group, each on its own stream.
+	runner *sim.Runner
 }
 
 // ExecuteSuite expands the scenario and runs every cell × group × replica
@@ -84,7 +82,7 @@ func ExecuteSuite(ctx context.Context, s *Scenario, p Params) (*SuiteResult, err
 	if s.Kind == KindCustom {
 		return nil, fmt.Errorf("scenario %q: custom scenarios have no suite; call Run", s.Name)
 	}
-	specs, err := s.Expand(p)
+	specs, err := s.expandGroups(p)
 	if err != nil {
 		return nil, err
 	}
@@ -92,122 +90,69 @@ func ExecuteSuite(ctx context.Context, s *Scenario, p Params) (*SuiteResult, err
 		ctx = context.Background()
 	}
 
-	// Assemble the result skeleton and derive every stream in order.
+	// Assemble the result skeleton and derive every stream in order. The
+	// start, topology, rule factory and options are resolved once per
+	// cell × group; a job is what differs per replica: its stream and its
+	// result slot.
 	base := rng.New(p.Seed)
 	suite := &SuiteResult{Scenario: s, Params: p}
 	type job struct {
-		spec    *RunSpec
+		group   *GroupResult
+		replica int
 		stream  *rng.RNG
-		start   *config.Config
-		g       graph.Graph
-		grouped *groupedStart
-		slot    **Result
-		runName string
 	}
-	jobs := make([]job, 0, len(specs))
+	total := 0
+	for i := range specs {
+		total += specs[i].Replicas
+	}
+	jobs := make([]job, 0, total)
 	var cur *CellResult
-	var curGroup *GroupResult
 	for i := range specs {
 		spec := &specs[i]
 		if cur == nil || cur.Index != spec.Cell {
 			cur = &CellResult{Index: spec.Cell, Vars: spec.Vars, Strings: spec.Strings, Replicas: spec.Replicas}
 			suite.Cells = append(suite.Cells, cur)
-			curGroup = nil
 		}
-		if curGroup == nil || len(cur.Groups) <= spec.Group {
-			curGroup = &GroupResult{ID: spec.GroupID, Spec: spec}
-			// Build the start configuration (and topology) once per cell ×
-			// group; randomized generators draw from their own stream,
-			// derived before the group's replica streams.
-			var genRNG *rng.RNG
-			needsRNG := config.NeedsRNG(spec.Init.Generator) || (spec.Topology != nil && spec.Topology.Name == "random-regular")
-			if len(spec.Nodes) > 0 {
-				needsRNG = nodesNeedRNG(spec.Nodes) || (spec.Topology != nil && spec.Topology.Name == "random-regular")
-			}
-			if needsRNG {
-				genRNG = base.Derive(^uint64(0))
-			}
-			start, grouped, err := buildStart(spec, genRNG)
-			if err != nil {
-				return nil, fmt.Errorf("scenario %q: cell %d, group %q: %w", s.Name, spec.Cell, spec.GroupID, err)
-			}
-			curGroup.Start = start
-			curGroup.grouped = grouped
-			curGroup.Results = make([]*Result, spec.Replicas)
-			cur.Groups = append(cur.Groups, curGroup)
-			if spec.Topology != nil {
-				g, err := buildTopology(spec, genRNG)
-				if err != nil {
-					return nil, fmt.Errorf("scenario %q: cell %d, group %q: %w", s.Name, spec.Cell, spec.GroupID, err)
-				}
-				curGroup.graph = g
-			}
+		group, err := newGroup(spec, base)
+		if err != nil {
+			return nil, fmt.Errorf("scenario %q: cell %d, group %q: %w", s.Name, spec.Cell, spec.GroupID, err)
 		}
-		jobs = append(jobs, job{
-			spec:    spec,
-			stream:  base.Derive(uint64(spec.Replica)),
-			start:   curGroup.Start,
-			g:       curGroup.graph,
-			grouped: curGroup.grouped,
-			slot:    &curGroup.Results[spec.Replica],
-			runName: fmt.Sprintf("cell %d, group %q, replica %d", spec.Cell, spec.GroupID, spec.Replica),
-		})
+		cur.Groups = append(cur.Groups, group)
+		for rep := range spec.Replicas {
+			jobs = append(jobs, job{group: group, replica: rep, stream: base.Derive(uint64(rep))})
+		}
 	}
 
 	var prog *progressTracker
 	if p.Progress != nil {
 		prog = newProgressTracker(p.Progress, s.Name, len(jobs), len(suite.Cells))
 		for i := range jobs {
-			prog.lastOfCell[i] = i == len(jobs)-1 || jobs[i+1].spec.Cell != jobs[i].spec.Cell
+			prog.lastOfCell[i] = i == len(jobs)-1 || jobs[i+1].group.Spec.Cell != jobs[i].group.Spec.Cell
 		}
 		prog.start()
 	}
 
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 	errs := make([]error, len(jobs))
-	queue := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range queue {
-				j := &jobs[idx]
-				res, err := executeRun(ctx, j.spec, j.start, j.g, j.grouped, j.stream)
-				*j.slot = res
-				errs[idx] = err
-				if prog != nil {
-					var ev *ProgressEvent
-					if err == nil && res != nil {
-						ev = &ProgressEvent{
-							Kind: ProgressRunDone, Scenario: s.Name,
-							Total: len(jobs), Cells: len(suite.Cells),
-							Cell: j.spec.Cell, Group: j.spec.Group, Replica: j.spec.Replica,
-							GroupID: j.spec.GroupID,
-							Rounds:  res.Rounds, Converged: res.Converged,
-						}
-					}
-					prog.done(idx, ev)
+	sim.RunPool(ctx, len(jobs), p.Workers, func(idx int) {
+		j := &jobs[idx]
+		g := j.group
+		res, err := sim.RunStream(ctx, g.runner, g.Start, j.stream)
+		g.Results[j.replica] = res
+		errs[idx] = err
+		if prog != nil {
+			var ev *ProgressEvent
+			if err == nil && res != nil {
+				ev = &ProgressEvent{
+					Kind: ProgressRunDone, Scenario: s.Name,
+					Total: len(jobs), Cells: len(suite.Cells),
+					Cell: g.Spec.Cell, Group: g.Spec.Group, Replica: j.replica,
+					GroupID: g.ID,
+					Rounds:  res.Rounds, Converged: res.Converged,
 				}
 			}
-		}()
-	}
-dispatch:
-	for i := range jobs {
-		select {
-		case queue <- i:
-		case <-ctx.Done():
-			break dispatch
+			prog.done(idx, ev)
 		}
-	}
-	close(queue)
-	wg.Wait()
+	})
 
 	// A context cancelled only after the last run finished must not
 	// discard the fully-computed suite (the suite-level mirror of
@@ -215,7 +160,7 @@ dispatch:
 	// only when it actually cost a run.
 	complete := true
 	for i := range jobs {
-		if errs[i] != nil || *jobs[i].slot == nil {
+		if errs[i] != nil || jobs[i].group.Results[jobs[i].replica] == nil {
 			complete = false
 			break
 		}
@@ -228,19 +173,52 @@ dispatch:
 	}
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("scenario %q: %s: %w", s.Name, jobs[i].runName, err)
+			j := &jobs[i]
+			return nil, fmt.Errorf("scenario %q: cell %d, group %q, replica %d: %w",
+				s.Name, j.group.Spec.Cell, j.group.ID, j.replica, err)
 		}
 	}
 	return nil, fmt.Errorf("scenario %q: suite incomplete without a cause", s.Name)
 }
 
-// executeRun performs one replica through the Runner.
-func executeRun(ctx context.Context, spec *RunSpec, start *config.Config, g graph.Graph, grouped *groupedStart, stream *rng.RNG) (*Result, error) {
+// newGroup builds one cell × group's shared state: the start
+// configuration and topology (randomized generators draw from a stream
+// derived from base before the group's replica streams) and the runner
+// every replica of the group runs through.
+func newGroup(spec *RunSpec, base *rng.RNG) (*GroupResult, error) {
+	var genRNG *rng.RNG
+	needsRNG := config.NeedsRNG(spec.Init.Generator)
+	if len(spec.Nodes) > 0 {
+		needsRNG = nodesNeedRNG(spec.Nodes)
+	}
+	if needsRNG || (spec.Topology != nil && spec.Topology.Name == "random-regular") {
+		genRNG = base.Derive(^uint64(0))
+	}
+	start, grouped, err := buildStart(spec, genRNG)
+	if err != nil {
+		return nil, err
+	}
+	var g graph.Graph
+	if spec.Topology != nil {
+		if g, err = buildTopology(spec, genRNG); err != nil {
+			return nil, err
+		}
+	}
+	runner, err := newRunner(spec, g, grouped)
+	if err != nil {
+		return nil, err
+	}
+	return &GroupResult{ID: spec.GroupID, Spec: spec, Start: start, Results: make([]*Result, spec.Replicas), grouped: grouped, runner: runner}, nil
+}
+
+// newRunner resolves a group's rule factory and run options, everything
+// but the per-replica stream, into the runner its replicas share.
+func newRunner(spec *RunSpec, g graph.Graph, grouped *groupedStart) (*sim.Runner, error) {
 	factory, err := rules.Spec{Name: spec.Rule.Name, H: spec.Rule.H, Beta: spec.Rule.Beta}.Factory()
 	if err != nil {
 		return nil, err
 	}
-	opts := []sim.Option{sim.WithRNG(stream)}
+	var opts []sim.Option
 	if grouped != nil {
 		behaviorOpts, err := buildBehaviors(spec, grouped)
 		if err != nil {
@@ -294,15 +272,14 @@ func executeRun(ctx context.Context, spec *RunSpec, start *config.Config, g grap
 	}
 	if spec.Adversary != nil {
 		// The §5 strategies are stateless (each holds only its budget F),
-		// so one instance could serve every replica; building it here costs
-		// one small allocation and keeps each replica's options its own.
+		// so one instance serves every replica of the group.
 		adv, err := adversary.ByName(spec.Adversary.Name, spec.Adversary.Budget)
 		if err != nil {
 			return nil, err
 		}
 		opts = append(opts, sim.WithAdversary(adv, spec.Adversary.Epsilon, spec.Adversary.Window))
 	}
-	return sim.NewFactoryRunner(factory, opts...).Run(ctx, start)
+	return sim.NewFactoryRunner(factory, opts...), nil
 }
 
 // buildNetwork constructs the cluster engine's network model from a

@@ -3,7 +3,12 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"errors"
+	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/ignorecomply/consensus/internal/config"
@@ -294,6 +299,131 @@ func TestContextCancellation(t *testing.T) {
 	cancel()
 	if _, err := ExecuteSuite(ctx, s, quickParams(2)); err == nil {
 		t.Fatal("canceled context did not abort the suite")
+	}
+}
+
+// TestContextCancellationMidSuite: a context cancelled from the Progress
+// callback after the k-th run-done stops the pool. Every cell holds one
+// run whose stop predicate knows the run's index: it counts the run's
+// start at round 0 and, at round 1, waits for the previous run's
+// run-done event before it finishes, so no run finishes ahead of the
+// events. When the k-th run-done cancels, each worker holds at most one
+// further run, so at most k + workers runs start.
+func TestContextCancellationMidSuite(t *testing.T) {
+	const (
+		cells   = 12
+		k       = 3
+		workers = 2
+	)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var started atomic.Int64
+	emitted := make([]chan struct{}, cells)
+	for i := range emitted {
+		emitted[i] = make(chan struct{})
+	}
+	stopPredicates["test-in-order"] = func(i int) func(int, *Config) bool {
+		return func(round int, _ *Config) bool {
+			if round == 0 {
+				started.Add(1)
+				return false
+			}
+			if i > 0 {
+				select {
+				case <-emitted[i-1]:
+				case <-ctx.Done():
+				}
+			}
+			return true
+		}
+	}
+	defer delete(stopPredicates, "test-in-order")
+	values := make([]string, cells)
+	for i := range values {
+		values[i] = strconv.Itoa(i)
+	}
+	s := decodeT(t, `{
+		"schema": 1, "name": "cancel-mid", "params": {"n": 200},
+		"sweep": [{"name": "i", "values": [`+strings.Join(values, ", ")+`]}],
+		"rule": {"name": "voter"}, "init": {"generator": "singleton"},
+		"stop": {"when": {"name": "test-in-order", "value": "i"}}
+	}`)
+	before := runtime.NumGoroutine()
+	p := quickParams(workers)
+	p.Progress = func(ev ProgressEvent) {
+		if ev.Kind != ProgressRunDone {
+			return
+		}
+		if ev.Done == k {
+			cancel()
+		}
+		close(emitted[ev.Done-1])
+	}
+	if _, err := ExecuteSuite(ctx, s, p); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := started.Load(); got < k || got > k+workers {
+		t.Fatalf("%d runs started, want %d to %d", got, k, k+workers)
+	}
+	// A worker exits just after it signals the pool, so yield until the
+	// last one is gone.
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 1_000_000 {
+			t.Fatalf("%d goroutines after the suite returned, %d before", runtime.NumGoroutine(), before)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestExpandMatchesSuite: the public expansion and the executor's agree.
+// Expand has one entry per run of the suite, in cell, group, replica
+// order, and every group's Spec is its replica-0 entry.
+func TestExpandMatchesSuite(t *testing.T) {
+	s := decodeT(t, `{
+		"schema": 1, "name": "agreement",
+		"params": {"n": 120},
+		"sweep": [
+			{"name": "mode", "strings": ["alpha", "beta"]},
+			{"name": "k", "values": [2, 3]}
+		],
+		"replicas": "if(k == 2, 3, 1)",
+		"init": {"generator": "balanced", "k": "k"},
+		"stop": {"max_rounds": "100 * n"},
+		"runs": [
+			{"id": "fast", "rule": {"name": "3-majority"}},
+			{"id": "slow", "rule": {"name": "voter"}, "metrics": {"color_times": [1]}}
+		]
+	}`)
+	p := quickParams(2)
+	specs, err := s.Expand(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite, err := ExecuteSuite(context.Background(), s, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for _, cell := range suite.Cells {
+		for gi, g := range cell.Groups {
+			if i >= len(specs) {
+				t.Fatalf("Expand has %d entries, the suite more runs", len(specs))
+			}
+			if !reflect.DeepEqual(*g.Spec, specs[i]) {
+				t.Fatalf("cell %d, group %q: Spec %+v, Expand's replica 0 %+v", cell.Index, g.ID, *g.Spec, specs[i])
+			}
+			for rep := range g.Results {
+				got := specs[i]
+				if got.Cell != cell.Index || got.Group != gi || got.GroupID != g.ID || got.Replica != rep || got.Replicas != len(g.Results) {
+					t.Fatalf("Expand entry %d is cell %d, group %d (%q), replica %d of %d; the suite runs cell %d, group %d (%q), replica %d of %d",
+						i, got.Cell, got.Group, got.GroupID, got.Replica, got.Replicas, cell.Index, gi, g.ID, rep, len(g.Results))
+				}
+				i++
+			}
+		}
+	}
+	if i != len(specs) {
+		t.Fatalf("Expand has %d entries, the suite %d runs", len(specs), i)
 	}
 }
 

@@ -36,7 +36,7 @@ func DefaultParams() Params {
 // RunSpec is one fully resolved run: a single replica of one run group in
 // one sweep cell. Expand returns them in execution order — cells
 // row-major (first axis slowest), groups in spec order, replicas 0..R-1 —
-// and the executor derives one random stream per spec in exactly this
+// and the executor derives one random stream per run in exactly this
 // order, which is what makes a suite reproducible regardless of
 // scheduling.
 type RunSpec struct {
@@ -155,11 +155,32 @@ type ResolvedAdversary struct {
 }
 
 // Expand resolves the scenario into the ordered list of concrete runs for
-// the given parameters. Expansion is pure: identical (spec, Params) yield
-// identical RunSpecs.
+// the given parameters, one RunSpec per run. Expansion is pure: identical
+// (spec, Params) yield identical RunSpecs.
+func (s *Scenario) Expand(p Params) ([]RunSpec, error) {
+	groups, err := s.expandGroups(p)
+	if err != nil {
+		return nil, err
+	}
+	total := 0
+	for i := range groups {
+		total += groups[i].Replicas
+	}
+	specs := make([]RunSpec, 0, total)
+	for _, spec := range groups {
+		for spec.Replica = 0; spec.Replica < spec.Replicas; spec.Replica++ {
+			specs = append(specs, spec)
+		}
+	}
+	return specs, nil
+}
+
+// expandGroups is Expand with one RunSpec per cell × group, cells and
+// groups in Expand's order: each spec is the group's replica 0 and
+// carries the replica count, which is all the executor needs.
 //
 //consensus:strictwalk
-func (s *Scenario) Expand(p Params) ([]RunSpec, error) {
+func (s *Scenario) expandGroups(p Params) ([]RunSpec, error) {
 	if s.Kind == KindCustom {
 		return nil, fmt.Errorf("scenario %q: custom scenarios have no runs to expand; call Run", s.Name)
 	}
@@ -256,17 +277,13 @@ func (s *Scenario) Expand(p Params) ([]RunSpec, error) {
 			if err != nil {
 				return fmt.Errorf("scenario %q: cell %d, group %q: %w", s.Name, cellIndex, groups[gi].ID, err)
 			}
-			for rep := 0; rep < replicas; rep++ {
-				spec := rg
-				spec.Cell = cellIndex
-				spec.Group = gi
-				spec.GroupID = groups[gi].ID
-				spec.Replica = rep
-				spec.Replicas = replicas
-				spec.Vars = cellEnv
-				spec.Strings = cellStrs
-				specs = append(specs, spec)
-			}
+			rg.Cell = cellIndex
+			rg.Group = gi
+			rg.GroupID = groups[gi].ID
+			rg.Replicas = replicas
+			rg.Vars = cellEnv
+			rg.Strings = cellStrs
+			specs = append(specs, rg)
 		}
 		cellIndex++
 		return nil
