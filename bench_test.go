@@ -89,6 +89,33 @@ func BenchmarkBatchRunSingleton(b *testing.B) {
 	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/run")
 }
 
+// BenchmarkBatchRunSingletonTwoChoices measures the paper-batch sep-2c
+// cell: 2-Choices on the batch engine from Singleton(1024), run to
+// consensus under the cell's 4n round cap. Each iteration is one whole
+// run, the runs continuing one random stream, so ns/op averages over the
+// spread of Θ(n/log n) round counts.
+func BenchmarkBatchRunSingletonTwoChoices(b *testing.B) {
+	const n = 1 << 10
+	cfg := consensus.SingletonConfig(n)
+	runner := consensus.NewRunner(consensus.NewTwoChoices(),
+		consensus.WithEngine(consensus.EngineBatch),
+		consensus.WithMaxRounds(4*n),
+		consensus.WithRNG(consensus.NewRNG(6)))
+	b.ReportAllocs()
+	rounds := 0
+	for i := 0; i < b.N; i++ {
+		res, err := runner.Run(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Converged {
+			b.Fatal("no consensus within the cell's round cap")
+		}
+		rounds += res.Rounds
+	}
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/run")
+}
+
 // BenchmarkHybridRun measures the hybrid engine in the h-Majority regime
 // of the paper's Conjecture 1 and E13: 5-Majority from
 // BiasedConfig(10^5, 2, 10^4), run to consensus under a 200-round cap.

@@ -211,17 +211,24 @@ func (c *Config) Fractions(out []float64) []float64 {
 //
 //consensus:hotpath
 func (c *Config) Compact() {
-	w := 0
-	for s, v := range c.counts {
-		if v == 0 {
-			continue
-		}
-		c.counts[w] = v
-		c.labels[w] = c.labels[s]
-		w++
+	// The slots before the first dead one stay where they are. From there
+	// every slot is copied to the write position, which only a live slot
+	// advances: no branch decides whether to copy.
+	w := slices.Index(c.counts, 0)
+	if w < 0 {
+		return
 	}
-	c.counts = c.counts[:w]
-	c.labels = c.labels[:w]
+	counts, labels := c.counts, c.labels[:len(c.counts)]
+	for s := w + 1; s < len(counts); s++ {
+		v := counts[s]
+		counts[w] = v
+		labels[w] = labels[s]
+		if v != 0 {
+			w++
+		}
+	}
+	c.counts = counts[:w]
+	c.labels = labels[:w]
 }
 
 // Nodes expands the configuration into a per-node slot assignment of length

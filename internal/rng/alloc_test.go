@@ -69,7 +69,9 @@ func TestMultinomialZeroSteadyStateAllocs(t *testing.T) {
 
 // TestThinZeroAllocs: Thin allocates nothing in either regime — geometric
 // skipping, one skipGap per hit, at p = 0.01 and per-slot binomials at
-// p = 0.9 — into a separate slice or in place.
+// p = 0.9 — into a separate slice or in place. HitPositions, the same
+// skip walk into a position buffer, allocates nothing once the buffer
+// holds the hits.
 func TestThinZeroAllocs(t *testing.T) {
 	counts := make([]int, 1024)
 	for i := range counts {
@@ -87,5 +89,10 @@ func TestThinZeroAllocs(t *testing.T) {
 		}); avg != 0 {
 			t.Errorf("Thin(p=%v) in place allocates %.2f times, want 0", p, avg)
 		}
+	}
+	pos := make([]int, 0, 1024)
+	r := New(54)
+	if avg := testing.AllocsPerRun(100, func() { pos = r.HitPositions(1024, 0.01, pos) }); avg != 0 {
+		t.Errorf("HitPositions allocates %.2f times, want 0", avg)
 	}
 }

@@ -214,6 +214,65 @@ func TestThinExactPMF(t *testing.T) {
 	}
 }
 
+// TestHitPositionsExactPMF checks HitPositions against n independent
+// Bernoulli(p) trials: the hit set, as a 0/1 vector over the n
+// positions, must follow the product law, and the positions must come
+// out strictly increasing and in [0, n). The edges p = 0, p = 1 and n = 0
+// are checked exactly.
+func TestHitPositionsExactPMF(t *testing.T) {
+	cases := []struct {
+		name string
+		n    int
+		p    float64
+	}{
+		{"p=0.3", 6, 0.3},
+		{"p=0.05", 8, 0.05},
+		{"p=0.9", 5, 0.9},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var keys []int
+			var pmf []float64
+			ones := make([]int, tc.n)
+			for i := range ones {
+				ones[i] = 1
+			}
+			boxes(ones, func(x []int) {
+				p := 1.0
+				for _, hit := range x {
+					p *= binomialPMF(hit, 1, tc.p)
+				}
+				keys = append(keys, vectorKey(x, 2))
+				pmf = append(pmf, p)
+			})
+			r := New(63)
+			var pos []int
+			set := make([]int, tc.n)
+			fitPMF(t, tc.name, keys, pmf, 2, 200_000, func() []int {
+				pos = r.HitPositions(tc.n, tc.p, pos)
+				clear(set)
+				for i, q := range pos {
+					if q < 0 || q >= tc.n || (i > 0 && q <= pos[i-1]) {
+						t.Fatalf("positions %v are not increasing in [0, %d)", pos, tc.n)
+					}
+					set[q] = 1
+				}
+				return set
+			})
+		})
+	}
+	r := New(64)
+	if got := r.HitPositions(5, 0, nil); len(got) != 0 {
+		t.Errorf("p = 0: hits %v, want none", got)
+	}
+	if got := r.HitPositions(0, 0.5, nil); len(got) != 0 {
+		t.Errorf("n = 0: hits %v, want none", got)
+	}
+	if got := r.HitPositions(5, 1, nil); !slices.Equal(got, []int{0, 1, 2, 3, 4}) {
+		t.Errorf("p = 1: hits %v, want every position", got)
+	}
+}
+
 // TestMultinomialPooledScratchIsInvisible: the per-trial regime's scratch
 // is pooled across goroutines, so concurrent draws over supports of
 // different widths must reproduce, bit for bit, the same streams drawn one

@@ -463,6 +463,25 @@ func (r *RNG) Thin(counts []int, p float64, hits []int) int {
 	return total
 }
 
+// HitPositions appends to dst[:0], in increasing order, the positions in
+// [0, n) of the hits among n individuals each kept independently with
+// probability p, and returns the result. It walks from hit to hit by the
+// geometric gaps of Thin's skip regime, one Log1p per hit, so it costs
+// O(1 + hits); dst grows only when the hits outnumber its capacity.
+//
+//consensus:hotpath
+func (r *RNG) HitPositions(n int, p float64, dst []int) []int {
+	dst = dst[:0]
+	if !(p > 0) || n <= 0 {
+		return dst
+	}
+	lq := math.Log1p(-p)
+	for pos := r.skipGap(lq, n); pos < n; pos += 1 + r.skipGap(lq, n) {
+		dst = append(dst, pos)
+	}
+	return dst
+}
+
 // skipGap draws a Geometric(p) gap — failures before the next success —
 // given lq = Log1p(-p). A gap of n or more passes every remaining
 // individual, so it is capped at n; the comparison is made on the float

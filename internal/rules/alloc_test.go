@@ -70,8 +70,9 @@ func TestHMajorityStepZeroAllocsWideSupport(t *testing.T) {
 
 // TestBatchStepZeroAllocsSingleton: Voter, 3-Majority and 2-Choices
 // rounds from Singleton(4096) allocate nothing over three successive
-// rounds, where few trials fall on each live color and rng.Multinomial and
-// rng.Thin draw per trial from pooled scratch. Each measured round restarts
+// rounds, where few trials fall on each live color: rng.Multinomial draws
+// per trial from pooled scratch, and 2-Choices draws its few movers one
+// by one (stepSparse) into scratch it keeps. Each measured round restarts
 // from its snapshot, so every run sees the same support. Under -race the
 // allocation count is not checked, as above.
 func TestBatchStepZeroAllocsSingleton(t *testing.T) {

@@ -89,13 +89,37 @@ func countsKey(x []int, n int) int {
 
 // TestTwoChoicesStepExactPMF checks one batch 2-Choices round against the
 // exact keeper × switcher convolution by chi-square goodness of fit at
-// stats.DefaultEquivalenceAlpha, from Singleton(8) (S = 1/8) and
-// Balanced(8, 4) (S = 1/4). Both starts put few trials on each live color,
-// so the departures are thinned by geometric skipping and the switchers
-// tallied per trial. Seeded, so deterministic.
+// stats.DefaultEquivalenceAlpha, in both regimes of Step. Singleton(8)
+// (S = 1/8) and counts {1,1,1,1,1,1,2} (S = 5/32, unequal squares) draw
+// their movers one by one; Balanced(8, 4) (S = 1/4) thins the departures
+// and redistributes them by a multinomial. The regime of each start is
+// asserted through twoChoicesSparse, so both stay covered. Seeded, so
+// deterministic.
 func TestTwoChoicesStepExactPMF(t *testing.T) {
 	const draws = 200_000
-	for _, start := range []*config.Config{config.Singleton(8), config.Balanced(8, 4)} {
+	unequal, err := config.New([]int{1, 1, 1, 1, 1, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		start  *config.Config
+		sparse bool
+	}{
+		{config.Singleton(8), true},
+		{unequal, true},
+		{config.Balanced(8, 4), false},
+	} {
+		start := tc.start
+		s2, live := 0, 0
+		for _, v := range start.CountsView() {
+			s2 += v * v
+			if v > 0 {
+				live++
+			}
+		}
+		if got := twoChoicesSparse(start.N(), s2, live); got != tc.sparse {
+			t.Fatalf("%v: sparse regime %v, want %v", start.CountsView(), got, tc.sparse)
+		}
 		counts := append([]int(nil), start.CountsView()...)
 		n := start.N()
 		pmf := twoChoicesPMF(counts)

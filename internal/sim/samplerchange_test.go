@@ -178,6 +178,16 @@ var equivSuiteDefs = []struct {
 				Run(context.Background(), config.Singleton(256))
 		},
 	},
+	// The paper-batch sep-2c cell: from 1024 colors nearly every round
+	// moves a few nodes among many live colors.
+	{
+		name: "batch/2-choices/singleton-1024", k: 1024, reps: 100,
+		run: func(rep int) (*Result, error) {
+			return NewRunner(rules.NewTwoChoices(),
+				WithEngine(EngineBatch), WithSeed(58_000+uint64(rep))).
+				Run(context.Background(), config.Singleton(1024))
+		},
+	},
 	{
 		name: "batch/voter/singleton", k: 256, reps: 100,
 		run: func(rep int) (*Result, error) {
