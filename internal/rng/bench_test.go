@@ -9,7 +9,10 @@ import (
 // means below 10 and BTRS transformed rejection from 10 up (the design
 // choice that makes batch rounds O(k) regardless of n). np = 10, 15, 25
 // and 29 are the means 3-Majority's middle game draws from the singleton
-// start; n = 10⁹ is the biased regime's largest cell.
+// start, where BTRS settles most draws that miss its box squeeze by the
+// near-mode product; from np = 100 up the squeeze's log bracket takes a
+// growing share, and at n = 10⁹, the biased regime's largest cell, it
+// settles nearly all of them.
 func BenchmarkBinomial(b *testing.B) {
 	cases := []struct {
 		name string

@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// Precision of BTRS's full acceptance test: the Stirling tails against
-// log k! in 256-bit arithmetic, and the grouped log-ratio against a
-// compensated sum of the per-step ratios f(j)/f(j−1) of the pmf.
+// Precision of BTRS's acceptance tests: the Stirling tails against log k!
+// in 256-bit arithmetic, and the grouped log-ratio and the squeeze's
+// bracket against a compensated sum of the per-step ratios f(j)/f(j−1) of
+// the pmf.
 
 const bigPrec = 256
 
@@ -88,12 +89,41 @@ func TestStirlingTailTable(t *testing.T) {
 	}
 }
 
+// walkLogRatio visits k = m ± 1, m ± 2, … on both sides of the mode m,
+// up to span steps and within [0, n], with the reference value of
+// log(f(k)/f(m)) for the Binomial(n, p) pmf f: the per-step logs
+// log(f(j)/f(j−1)) = Log1p((p(n−j+1) − qj)/(qj)), Neumaier-compensated.
+func walkLogRatio(n, p, m, span float64, visit func(k, ref float64)) {
+	q := 1 - p
+	for _, dir := range []float64{1, -1} {
+		var sum, comp float64
+		for k := m + dir; math.Abs(k-m) <= span && k >= 0 && k <= n; k += dir {
+			// The step between k and its neighbour toward m.
+			j := k
+			if dir < 0 {
+				j = k + 1
+			}
+			step := math.Log1p(math.FMA(p, n-j+1, -q*j) / (q * j))
+			if dir < 0 {
+				step = -step
+			}
+			s := sum + step
+			if math.Abs(sum) >= math.Abs(step) {
+				comp += (sum - s) + step
+			} else {
+				comp += (step - s) + sum
+			}
+			sum = s
+			visit(k, sum+comp)
+		}
+	}
+}
+
 // TestBTRSLogRatioPrecision pins the acceptance test's precision where
 // BTRS runs: for every k within m ± 4σ of the mode m, btrsLogRatio must
-// match log(f(k)/f(m)) to 1e-10, with the reference summed step by step,
-// log(f(j)/f(j−1)) = Log1p((p(n−j+1) − qj)/(qj)), Neumaier-compensated.
-// The lgamma form it replaced was off by up to 7.3e-6 at n = 10⁹ (p = 0.3)
-// on the same grid.
+// match log(f(k)/f(m)) to 1e-10 against walkLogRatio's compensated step
+// sum. The lgamma form it replaced was off by up to 7.3e-6 at n = 10⁹
+// (p = 0.3) on the same grid.
 func TestBTRSLogRatioPrecision(t *testing.T) {
 	const tol = 1e-10
 	for _, n := range []float64{1e4, 1e6, 1e8, 1e9} {
@@ -103,35 +133,59 @@ func TestBTRSLogRatioPrecision(t *testing.T) {
 			tailM := stirlingTail(m) + stirlingTail(n-m)
 			span := math.Ceil(4 * math.Sqrt(n*p*q))
 			worst := 0.0
-			for _, dir := range []float64{1, -1} {
-				var sum, comp float64
-				for k := m + dir; math.Abs(k-m) <= span && k >= 0 && k <= n; k += dir {
-					// The step between k and its neighbour toward m.
-					j := k
-					if dir < 0 {
-						j = k + 1
-					}
-					step := math.Log1p(math.FMA(p, n-j+1, -q*j) / (q * j))
-					if dir < 0 {
-						step = -step
-					}
-					s := sum + step
-					if math.Abs(sum) >= math.Abs(step) {
-						comp += (sum - s) + step
-					} else {
-						comp += (step - s) + sum
-					}
-					sum = s
-					got := btrsLogRatio(k, m, n, p, q, tailM)
-					if d := math.Abs(got - (sum + comp)); d > worst {
-						worst = d
-					}
+			walkLogRatio(n, p, m, span, func(k, ref float64) {
+				if d := math.Abs(btrsLogRatio(k, m, n, p, q, tailM) - ref); d > worst {
+					worst = d
 				}
-			}
+			})
 			if worst > tol {
 				t.Errorf("n=%g p=%v: btrsLogRatio is off by up to %.2g, want <= %g", n, p, worst, tol)
 			}
 			t.Logf("n=%g p=%v: max error %.2g over m ± %g", n, p, worst, span)
+		}
+	}
+}
+
+// TestBTRSSqueezeBrackets pins BTRS's second stage: btrsSqueeze's t − ρ
+// and t + ρ bracket log(f(k)/f(m)) at every d = |k − m| in
+// [1, npq/2 − 1), the range the sampler uses it on, on both sides of the
+// mode, for n from 20 to 10⁹ and p from 10⁻⁶ to ½ with np >= 10. The
+// reference is walkLogRatio's compensated step sum: the tightest margins,
+// at n = 10⁹, are 10⁻¹⁰–10⁻⁹, below lgamma's error there. The walk stops
+// at 2¹⁶ steps (n = 10⁹, p = ½ would take 2.5·10⁸): the margin grows
+// with d, and the test asserts it is at least 1e-4 past 2¹⁵ steps.
+func TestBTRSSqueezeBrackets(t *testing.T) {
+	const maxWalk = 1 << 16
+	for _, n := range []float64{20, 100, 1e3, 1e4, 1e6, 1e8, 1e9} {
+		// p from 10⁻⁶ up, eight steps a decade, the last clamped to ½.
+		for i := 0; i <= 46; i++ {
+			p := math.Min(1e-6*math.Pow(10, float64(i)/8), 0.5)
+			npq := n * p * (1 - p)
+			if n*p < 10 || npq/2-1 <= 1 {
+				continue
+			}
+			m := math.Floor((n + 1) * p)
+			points, margin, farMargin := 0, math.Inf(1), math.Inf(1)
+			walkLogRatio(n, p, m, math.Min(npq/2-1, maxWalk), func(k, ref float64) {
+				d := math.Abs(k - m)
+				if d >= npq/2-1 {
+					return
+				}
+				points++
+				lo, hi := btrsSqueeze(d, npq)
+				if ref < lo || ref > hi {
+					t.Fatalf("n=%g p=%v k=%g (d=%g): log(f(k)/f(m)) = %.17g outside [%.17g, %.17g]", n, p, k, k-m, ref, lo, hi)
+				}
+				mg := math.Min(ref-lo, hi-ref)
+				margin = math.Min(margin, mg)
+				if d > maxWalk/2 {
+					farMargin = math.Min(farMargin, mg)
+				}
+			})
+			if farMargin < 1e-4 {
+				t.Errorf("n=%g p=%v: margin %.2g past %d steps, want >= 1e-4 where the walk is cut", n, p, farMargin, maxWalk/2)
+			}
+			t.Logf("n=%g p=%v: %d points, smallest margin %.2g (%.2g past %d steps)", n, p, points, margin, farMargin, maxWalk/2)
 		}
 	}
 }

@@ -21,12 +21,16 @@ func FuzzBinomial(f *testing.F) {
 	f.Add(uint64(5), 100000, 0.25) // BTRS branch
 	f.Add(uint64(6), 7, 1.0)
 	f.Add(uint64(7), 12, 0.0)
-	f.Add(uint64(8), 999, 0.01)       // np = 9.99: inversion, just below the cutoff
-	f.Add(uint64(9), 1000, 0.01)      // np = 10: BTRS at its floor
-	f.Add(uint64(10), 1001, 0.01)     // np = 10.01
-	f.Add(uint64(11), 1_000_000, 0.5) // the largest n in range, p = 1/2
+	f.Add(uint64(8), 999, 0.01)   // np = 9.99: inversion, just below the cutoff
+	f.Add(uint64(9), 1000, 0.01)  // np = 10: BTRS at its floor
+	f.Add(uint64(10), 1001, 0.01) // np = 10.01
+	f.Add(uint64(11), 1_000_000, 0.5)
+	f.Add(uint64(12), 900, 0.5)                // σ = 15: many draws near the near-mode product's bound
+	f.Add(uint64(13), 21, 0.5)                 // np = 10.5 at p = 1/2: the smallest npq BTRS sees
+	f.Add(uint64(14), 1_000_000_000, 0.3)      // the largest n in range
+	f.Add(uint64(15), 1_000_000_000, 0.000002) // np = 2000 at n = 10⁹
 	f.Fuzz(func(t *testing.T, seed uint64, n int, p float64) {
-		if n < 0 || n > 1_000_000 {
+		if n < 0 || n > 1_000_000_000 {
 			t.Skip("n out of the supported range")
 		}
 		if math.IsNaN(p) || p < 0 || p > 1 {

@@ -229,27 +229,45 @@ func binomialP0(n int, p float64) float64 {
 	return math.Exp(float64(n) * math.Log1p(-p))
 }
 
+// The largest distance from the mode at which binomialBTRS settles a draw
+// by the product of step ratios rather than by a log.
+const _btrsNearMode = 15
+
 // binomialBTRS samples Binomial(n, p) for p <= 1/2 and np >= 10 using the
 // BTRS transformed-rejection algorithm of Hörmann (1993), "The generation of
 // binomial random variates". Expected number of iterations is ~1.15. A
-// draw that misses the squeeze is accepted against the pmf ratio in
-// Stirling-tail form (btrsLogRatio): a few Log1p calls, no lgamma, and
-// precise to 1e-10 up to n = 10⁹.
+// draw that misses the box squeeze is settled against the pmf ratio
+// f(k)/f(m), m the mode, cheapest test first (Kachitvichyanukul &
+// Schmeiser 1988, BTPE steps 5.1–5.3):
+//
+//  1. up to _btrsNearMode steps from the mode, the exact product of the
+//     step ratios f(j)/f(j−1) = (n+1)s/j − s, s = p/q, with no log;
+//  2. further out, while |k−m| < npq/2 − 1, one Log against BTPE's
+//     two-sided bound t ± ρ on log(f(k)/f(m)) around t = −(k−m)²/(2npq)
+//     (TestBTRSSqueezeBrackets);
+//  3. only a draw that bound cannot settle pays for the Stirling-tail form
+//     (btrsLogRatio): a few Log1p calls, precise to 1e-10 up to n = 10⁹.
+//
+// Stages 1 and 2 decide as the true ratio does, so an outcome can differ
+// from stage 3's only where stage 3's own error would flip it.
 //
 //consensus:hotpath
 func (r *RNG) binomialBTRS(n int, p float64) int {
 	var (
 		fn  = float64(n)
 		q   = 1 - p
-		spq = math.Sqrt(fn * p * q)
+		npq = fn * p * q
+		spq = math.Sqrt(npq)
 		b   = 1.15 + 2.53*spq
 		a   = -0.0873 + 0.0248*b + 0.01*p
 		c   = fn*p + 0.5
 		vr  = 0.92 - 4.2/b
-		// The full acceptance test's constants are needed only once a draw
-		// misses the squeeze; set on first use.
-		haveConsts      bool
-		alpha, m, tailM float64
+		// The acceptance tests' constants are needed only once a draw
+		// misses the squeeze; set on first use. tailM (always positive)
+		// waits for the first draw that reaches stage 3.
+		haveConsts       bool
+		alpha, m, s, sn1 float64
+		tailM            float64
 	)
 	for {
 		u := r.Float64() - 0.5
@@ -263,18 +281,63 @@ func (r *RNG) binomialBTRS(n int, p float64) int {
 		if us >= 0.07 && v <= vr {
 			return int(kf)
 		}
-		// Full acceptance test against the pmf ratio f(k)/f(m), m the mode.
 		if !haveConsts {
 			alpha = (2.83 + 5.1/b) * spq
 			m = math.Floor((fn + 1) * p)
-			tailM = stirlingTail(m) + stirlingTail(fn-m)
+			s = p / q
+			sn1 = (fn + 1) * s
 			haveConsts = true
 		}
-		lhs := math.Log(v * alpha / (a/(us*us) + b))
+		// Accept iff vs <= f(k)/f(m).
+		vs := v * alpha / (a/(us*us) + b)
+		d := math.Abs(kf - m)
+		if d <= _btrsNearMode {
+			// f(k)/f(m) as the product of the step ratios between them.
+			lo, hi := m, kf
+			if kf < m {
+				lo, hi = kf, m
+			}
+			f := 1.0
+			for i := lo + 1; i <= hi; i++ {
+				f *= sn1/i - s
+			}
+			if kf < m {
+				f = 1 / f
+			}
+			if vs <= f {
+				return int(kf)
+			}
+			continue
+		}
+		lhs := math.Log(vs)
+		if d < npq/2-1 {
+			lo, hi := btrsSqueeze(d, npq)
+			if lhs < lo {
+				return int(kf)
+			}
+			if lhs > hi {
+				continue
+			}
+		}
+		if tailM == 0 {
+			tailM = stirlingTail(m) + stirlingTail(fn-m)
+		}
 		if lhs <= btrsLogRatio(kf, m, fn, p, q, tailM) {
 			return int(kf)
 		}
 	}
+}
+
+// btrsSqueeze returns BTPE's bracket t − ρ <= log(f(k)/f(m)) <= t + ρ for
+// the Binomial pmf f with mode m, at d = |k − m| < npq/2 − 1:
+// t = −d²/(2npq), ρ = (d/npq)·((d(d/3 + 0.625) + 1/6)/npq + ½)
+// (Kachitvichyanukul & Schmeiser 1988, step 5.2).
+//
+//consensus:hotpath
+func btrsSqueeze(d, npq float64) (lo, hi float64) {
+	t := -d * d / (2 * npq)
+	rho := d / npq * ((d*(d/3+0.625)+1.0/6)/npq + 0.5)
+	return t - rho, t + rho
 }
 
 // btrsLogRatio returns log(f(k)/f(m)) for the Binomial(n, p) pmf f, with

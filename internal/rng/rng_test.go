@@ -142,10 +142,19 @@ func TestBinomialMomentsBTRS(t *testing.T) {
 // chi-square goodness of fit at stats.DefaultEquivalenceAlpha, in every
 // regime: inversion below np = 10, BTRS at its floor np = 10 and at the
 // middle-game means 10–30, p = 1/2, the p > 1/2 mirror, n = 10⁵ with a
-// small p, and np = 60. At np = 10 the full acceptance test runs about
-// 0.8 times per draw, so an error in a Stirling tail shows there: its four
-// million draws detect dropping the series' 1/12 term, which moves
-// stirlingTail(10) by 1/(12·11).
+// small p, np = 60 and npq = 210. Each of BTRS's acceptance stages runs
+// in some case; per draw at this seed:
+//
+//	case            near-mode product  squeeze accept  squeeze reject  Stirling
+//	npq 8–25 (6)    0.56–0.83          0               0               0.008–0.05
+//	btrs (npq=42)   0.41               0.004           0               0.091
+//	btrs-npq=210    0.15               0.046           0.058           0.10
+//
+// An off-by-one in the product's loop fails every np = 10–25 case. A
+// bracket that is only slightly too narrow (ρ halved) passes here: it
+// misdecides too few draws for a χ² test, so TestBTRSSqueezeBrackets pins
+// the bound itself, as TestStirlingTailTable and TestBTRSLogRatioPrecision
+// pin the tails.
 func TestBinomialChiSquare(t *testing.T) {
 	tests := []struct {
 		name  string
@@ -162,6 +171,7 @@ func TestBinomialChiSquare(t *testing.T) {
 		{name: "btrs-p>0.5", n: 40, p: 0.7, draws: 1_000_000},
 		{name: "btrs-n=1e5,np=20", n: 100_000, p: 0.0002, draws: 1_000_000},
 		{name: "btrs", n: 200, p: 0.3, draws: 1_000_000},
+		{name: "btrs-npq=210", n: 1000, p: 0.3, draws: 1_000_000},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

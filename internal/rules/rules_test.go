@@ -213,6 +213,38 @@ func TestHMajorityMeanFieldStepAtWideSupport(t *testing.T) {
 	}
 }
 
+// TestMeanFieldLipschitzFinite: every rule's Lipschitz bound is finite at
+// any point of the simplex and any radius. The hybrid planner relies on it
+// to skip the bound at envelope 0, where ComposeEnvelope(0, L, noise)
+// equals noise only for finite L.
+func TestMeanFieldLipschitzFinite(t *testing.T) {
+	points := [][]float64{
+		{1, 0, 0, 0},
+		{0.25, 0.25, 0.25, 0.25},
+		{0.7, 0.2, 0.1, 0},
+		config.Zipf(100_000, 64, 1.0).Fractions(nil),
+	}
+	rules := append(allRules(), NewHMajority(1), NewHMajority(2), NewHMajority(3))
+	n := 0
+	for _, r := range rules {
+		mf, ok := r.(core.MeanFielder)
+		if !ok {
+			continue
+		}
+		n++
+		for _, x := range points {
+			for _, radius := range []float64{0, 1e-9, 0.01, 0.5, 2} {
+				if l := mf.MeanFieldLipschitz(x, radius); math.IsNaN(l) || math.IsInf(l, 0) {
+					t.Errorf("%s: MeanFieldLipschitz(%v, %v) = %v, want finite", r.Name(), x, radius, l)
+				}
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no rule implements core.MeanFielder")
+	}
+}
+
 // TestHMajorityH3MatchesThreeMajority: distributional agreement of the
 // general rule at h = 3 with the closed-form 3-Majority batch rule.
 func TestHMajorityH3MatchesThreeMajority(t *testing.T) {

@@ -283,9 +283,6 @@ func (f *ffController) plan(round int) int {
 		if ctxErr(f.ctx) != nil {
 			break
 		}
-		// The Lipschitz bound must hold on the segment between the true
-		// and mean-field points — the L1 ball of radius e around x.
-		lips := f.mf.MeanFieldLipschitz(f.cur, e)
 		if !f.mf.MeanFieldStep(f.cur, f.next) {
 			break
 		}
@@ -302,7 +299,14 @@ func (f *ffController) plan(round int) int {
 		if drift < minDrift {
 			break
 		}
-		eNext := analytic.ComposeEnvelope(e, lips, noiseL1)
+		// The Lipschitz bound must hold on the segment between the true
+		// and mean-field points — the L1 ball of radius e around x. At
+		// e = 0 the envelope is the step noise for any finite bound
+		// (TestMeanFieldLipschitzFinite), so the first round skips it.
+		eNext := noiseL1
+		if e > 0 {
+			eNext = analytic.ComposeEnvelope(e, f.mf.MeanFieldLipschitz(f.cur, e), noiseL1)
+		}
 		if !f.safe(f.next, eNext, eps, floor) {
 			break
 		}
