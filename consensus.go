@@ -124,18 +124,15 @@ const (
 	// discrete-event network engine (see WithNetwork).
 	EngineCluster = sim.EngineCluster
 	// EngineHybrid runs the batch law with certified analytic fast-forward
-	// (see WithFastForward): far from decision boundaries it advances the
-	// count vector many rounds at once along the mean-field map under a
-	// rigorous concentration envelope, reaching n = 10⁸–10⁹ in
-	// milliseconds.
+	// (select it with WithEngine; its tuning is fixed): far from decision
+	// boundaries it advances the count vector many rounds at once along
+	// the mean-field map under a rigorous concentration envelope, reaching
+	// n = 10⁸–10⁹ in milliseconds.
 	EngineHybrid = sim.EngineHybrid
 )
 
 // Hybrid-engine fast-forward types (DESIGN.md §8).
 type (
-	// FastForward tunes the hybrid engine's certified fast-forward; the
-	// zero value of every field selects its default.
-	FastForward = sim.FastForward
 	// FastForwardReport summarizes a hybrid run's fast-forward activity
 	// (Result.FastForward): exact vs skipped rounds, taken stretches and
 	// the widest certified envelope.
@@ -277,10 +274,6 @@ var (
 	// engine under a network model (implies EngineCluster): latency,
 	// loss with pull retry, scheduled partitions.
 	WithNetwork = sim.WithNetwork
-	// WithFastForward tunes the hybrid engine's certified fast-forward
-	// and implies EngineHybrid; WithFastForward(FastForward{}) selects
-	// the engine with default tuning.
-	WithFastForward = sim.WithFastForward
 	// WithAdversary runs the §5 fault-tolerance regime on any engine:
 	// per-round corruption, almost-consensus threshold ⌈(1-ε)·n⌉ and a
 	// stability window.

@@ -59,8 +59,11 @@ type ACProcess interface {
 // engine's certified fast-forward is built on this contract: it iterates
 // the map instead of sampling rounds and composes the sampling noise of
 // each skipped round through the Lipschitz expansion (internal/analytic,
-// DESIGN.md §8). Implementations may use receiver scratch and follow the
-// same not-concurrency-safe contract as Step.
+// DESIGN.md §8). Implementing it also asserts that one exact round of the
+// rule is Mult(n, α(x)), the AC one-step law (Definition 1) the
+// fast-forward's exit resample draws from. Implementations may use
+// receiver scratch and follow the same not-concurrency-safe contract as
+// Step.
 type MeanFielder interface {
 	Rule
 	// MeanFieldStep writes α(x) into out (len(out) == len(x); x is a
@@ -72,14 +75,6 @@ type MeanFielder interface {
 	// constant of the map, valid on the intersection of the simplex with
 	// the L1 ball of the given radius around x.
 	MeanFieldLipschitz(x []float64, radius float64) float64
-	// MeanFieldExact reports whether one exact round of the rule is
-	// Mult(n, α(x)) — the AC one-step law (Definition 1) the
-	// fast-forward's exit resample draws from. 2-Choices shares the
-	// Eq. 2 map in expectation (footnote 2) but its one-round law is not
-	// multinomial (§2.2), so it reports false and the hybrid engine
-	// never fast-forwards it: exposing its map here serves trajectory
-	// analysis only.
-	MeanFieldExact() bool
 }
 
 // Factory creates fresh rule instances. Replica runners use it so each

@@ -78,10 +78,6 @@ func (m *HMajority) MeanFieldLipschitz(x []float64, radius float64) float64 {
 	return analytic.HMajorityLipschitz(m.h)
 }
 
-// MeanFieldExact implements core.MeanFielder: h-Majority is an
-// AC-process, one round is Mult(n, α(x)).
-func (m *HMajority) MeanFieldExact() bool { return true }
-
 // Samples implements core.NodeRule.
 func (m *HMajority) Samples() int { return m.h }
 

@@ -33,15 +33,8 @@ func (m *ThreeMajority) Name() string { return "3-majority" }
 
 // Alpha implements core.ACProcess (Eq. 2).
 func (m *ThreeMajority) Alpha(c *config.Config, out []float64) []float64 {
-	out = c.Fractions(out)
-	l2 := 0.0
-	for _, x := range out {
-		l2 += x * x
-	}
-	for i, x := range out {
-		out[i] = x * (1 + x - l2)
-	}
-	return out
+	x := c.Fractions(out)
+	return analytic.ThreeMajorityAlpha(x, x)
 }
 
 // Step implements core.Rule: one round is Mult(n, α(c)).
@@ -64,10 +57,6 @@ func (m *ThreeMajority) MeanFieldStep(x, out []float64) bool {
 func (m *ThreeMajority) MeanFieldLipschitz(x []float64, radius float64) float64 {
 	return analytic.ThreeMajorityLipschitz(x, radius)
 }
-
-// MeanFieldExact implements core.MeanFielder: 3-Majority is an
-// AC-process, one round is Mult(n, α(x)).
-func (m *ThreeMajority) MeanFieldExact() bool { return true }
 
 // Samples implements core.NodeRule.
 func (m *ThreeMajority) Samples() int { return 3 }

@@ -3,7 +3,6 @@ package rules
 import (
 	"slices"
 
-	"github.com/ignorecomply/consensus/internal/analytic"
 	"github.com/ignorecomply/consensus/internal/config"
 	"github.com/ignorecomply/consensus/internal/core"
 	"github.com/ignorecomply/consensus/internal/rng"
@@ -16,7 +15,10 @@ import (
 // depends on the node's own current color, so its one-round law is not a
 // plain multinomial. This is exactly the paper's point in §2.2 — Theorem 2
 // does not apply, and indeed 2-Choices dominates Voter in expectation yet
-// is far slower from many-color configurations (Theorem 5).
+// is far slower from many-color configurations (Theorem 5). For the same
+// reason it is not a core.MeanFielder: it shares Eq. 2's map in
+// expectation (footnote 2), but the hybrid engine's exit resample draws
+// Mult(n, α), which is not its round law.
 //
 // The batch step samples the exact law by the keeper/switcher
 // decomposition: each node independently adopts color i with probability
@@ -38,7 +40,6 @@ type TwoChoices struct {
 
 var _ core.Rule = (*TwoChoices)(nil)
 var _ core.NodeRule = (*TwoChoices)(nil)
-var _ core.MeanFielder = (*TwoChoices)(nil)
 
 // NewTwoChoices returns a 2-Choices rule.
 func NewTwoChoices() *TwoChoices { return &TwoChoices{} }
@@ -143,28 +144,6 @@ func (t *TwoChoices) stepSparse(counts []int, n, s2 int, r *rng.RNG) {
 		}
 	}
 }
-
-// MeanFieldStep implements core.MeanFielder: in expectation 2-Choices
-// and 3-Majority agree (footnote 2), so the map is the shared expected
-// next-fraction expression — algebraically Eq. 2.
-func (t *TwoChoices) MeanFieldStep(x, out []float64) bool {
-	analytic.ExpectedNextFraction(x, out)
-	return true
-}
-
-// MeanFieldLipschitz implements core.MeanFielder: same map as Eq. 2,
-// same bound.
-func (t *TwoChoices) MeanFieldLipschitz(x []float64, radius float64) float64 {
-	return analytic.ThreeMajorityLipschitz(x, radius)
-}
-
-// MeanFieldExact implements core.MeanFielder: false — the one-round law
-// is keeper/switcher, not Mult(n, α(x)) (2-Choices is not an
-// AC-process, §2.2), so the hybrid engine never fast-forwards it. The
-// map is exposed for trajectory analysis only; this is deliberate and
-// mirrors the paper's point that 2-Choices' behavior near ties is not
-// captured by its expectation dynamics.
-func (t *TwoChoices) MeanFieldExact() bool { return false }
 
 // Samples implements core.NodeRule.
 func (t *TwoChoices) Samples() int { return 2 }

@@ -61,10 +61,6 @@ func (v *Voter) MeanFieldStep(x, out []float64) bool {
 // Lipschitz constant exactly 1.
 func (v *Voter) MeanFieldLipschitz([]float64, float64) float64 { return 1 }
 
-// MeanFieldExact implements core.MeanFielder: one Voter round is
-// Mult(n, x).
-func (v *Voter) MeanFieldExact() bool { return true }
-
 // Samples implements core.NodeRule.
 func (v *Voter) Samples() int { return 1 }
 

@@ -27,7 +27,7 @@ import (
 // 4v(1−v) > 4e(1−e) ≥ 2e²; when v + e ≥ 1 the cap at 1 leaves the live
 // column ahead by at least 2e(1−e). Both premises hold once safe() has
 // passed: every live v − e stays above the extinction floor, and the
-// top-two gap 2e + GapFactor·ε fits in 1. In the first planned round the
+// top-two gap 2e + gapFactor·ε fits in 1. In the first planned round the
 // radius is 0 and a dead column is 1 − L against a live 1 − L + 4v(1−v).
 func TestHybridDeadSlotInvariance(t *testing.T) {
 	live := []int{2_600_000, 2_500_000, 2_450_000, 2_450_000}
@@ -40,7 +40,7 @@ func TestHybridDeadSlotInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := buildOptions([]Option{WithFastForward(FastForward{})})
+	o, err := buildOptions([]Option{WithEngine(EngineHybrid)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 
 	"github.com/ignorecomply/consensus/internal/analytic"
 	"github.com/ignorecomply/consensus/internal/config"
@@ -24,14 +23,14 @@ import (
 // extending the stretch while the certified L1 envelope stays clear of
 // every decision boundary:
 //
-//   - drift dominance: the map must move at least DriftFactor·ε per
+//   - drift dominance: the map must move at least driftFactor·ε per
 //     round, so deterministic drift — not noise — is carrying the
 //     process (Voter's identity map never qualifies: its consensus is
 //     pure noise, exactly the paper's point);
 //   - near-tie gap: the top-two gap must stay ≥ 2·envelope +
-//     GapFactor·ε, so the plurality ordering cannot flip unnoticed;
+//     gapFactor·ε, so the plurality ordering cannot flip unnoticed;
 //   - extinction floor: no live color's certified lower bound may cross
-//     ExtinctionFloor/n, so no color can die (and no κ-target or
+//     extinctionFloor/n, so no color can die (and no κ-target or
 //     consensus event can trigger) inside the stretch.
 //
 // A certified stretch of m rounds is then taken in O(m·(k + terms))
@@ -53,95 +52,47 @@ import (
 // functions of the count vector, and the engine is aggregate, so the
 // worker count never matters.
 
-// FastForward tunes the hybrid engine's certified fast-forward and, as
-// an option value (WithFastForward), implies EngineHybrid. The zero
-// value of every field selects its default; the defaults are
-// deliberately conservative — widening them trades certification
-// strength for speed.
-type FastForward struct {
-	// MinStretch is the smallest number of rounds a certified stretch
-	// must cover to be taken (default 4): planning a stretch costs about
-	// one exact round per planned round, so tiny stretches are not worth
-	// the bookkeeping and run exactly instead.
-	MinStretch int
-	// MaxStretch caps a single stretch (default 65536). The round budget
-	// (WithMaxRounds) always caps it too.
-	MaxStretch int
-	// Delta is the per-skipped-round failure budget of the concentration
-	// envelope (default 1e-12): each skipped round's multinomial step
-	// stays within its Hoeffding deviation bound except with probability
-	// Delta, so a run that skips S rounds is certified except with
-	// probability ≤ S·Delta.
-	Delta float64
-	// GapFactor scales the near-tie boundary: the mean-field top-two gap
-	// must stay at least 2·envelope + GapFactor·ε along the stretch,
-	// where ε is the per-coordinate step noise (default 16).
-	GapFactor float64
-	// DriftFactor scales the drift-dominance criterion: the map must
-	// move at least DriftFactor·ε per round (L∞) for the round to be
-	// skippable (default 8).
-	DriftFactor float64
-	// ExtinctionFloor is the per-color support floor in nodes (default
-	// 64): a stretch never continues past a point where any live color's
-	// certified lower bound drops below ExtinctionFloor/n, keeping
-	// extinction events — the discrete decisions κ-targets and consensus
-	// hang on — in exact rounds.
-	ExtinctionFloor float64
+// ffTuning is the hybrid planner's fixed tuning. Every value is
+// deliberately conservative: widening one trades certification strength
+// for speed.
+type ffTuning struct {
+	// minStretch is the smallest number of rounds a certified stretch
+	// must cover to be taken: planning a stretch costs about one exact
+	// round per planned round, so tiny stretches are not worth the
+	// bookkeeping and run exactly instead.
+	minStretch int
+	// maxStretch caps a single stretch. The round budget (WithMaxRounds)
+	// always caps it too.
+	maxStretch int
+	// delta is the per-skipped-round failure budget of the concentration
+	// envelope: each skipped round's multinomial step stays within its
+	// Hoeffding deviation bound except with probability delta, so a run
+	// that skips S rounds is certified except with probability ≤ S·delta.
+	delta float64
+	// gapFactor scales the near-tie boundary: the mean-field top-two gap
+	// must stay at least 2·envelope + gapFactor·ε along the stretch,
+	// where ε is the per-coordinate step noise.
+	gapFactor float64
+	// driftFactor scales the drift-dominance criterion: the map must
+	// move at least driftFactor·ε per round (L∞) for the round to be
+	// skippable.
+	driftFactor float64
+	// extinctionFloor is the per-color support floor in nodes: a stretch
+	// never continues past a point where any live color's certified lower
+	// bound drops below extinctionFloor/n, keeping extinction events —
+	// the discrete decisions κ-targets and consensus hang on — in exact
+	// rounds.
+	extinctionFloor float64
 }
 
-// withDefaults resolves zero fields to their defaults.
-func (f FastForward) withDefaults() FastForward {
-	if f.MinStretch == 0 {
-		f.MinStretch = 4
-	}
-	if f.MaxStretch == 0 {
-		f.MaxStretch = 65536
-	}
-	if f.Delta == 0 {
-		f.Delta = 1e-12
-	}
-	if f.GapFactor == 0 {
-		f.GapFactor = 16
-	}
-	if f.DriftFactor == 0 {
-		f.DriftFactor = 8
-	}
-	if f.ExtinctionFloor == 0 {
-		f.ExtinctionFloor = 64
-	}
-	return f
-}
-
-// validate rejects nonsensical tunings (zero means "default" and is
-// always fine).
-func (f FastForward) validate() error {
-	if f.MinStretch < 0 {
-		return errors.New("sim: fast-forward min stretch must be >= 0")
-	}
-	if f.MaxStretch < 0 {
-		return errors.New("sim: fast-forward max stretch must be >= 0")
-	}
-	if f.Delta < 0 || f.Delta >= 1 {
-		return errors.New("sim: fast-forward delta must be in (0, 1)")
-	}
-	if f.GapFactor < 0 {
-		return errors.New("sim: fast-forward gap factor must be >= 0")
-	}
-	if f.DriftFactor < 0 {
-		return errors.New("sim: fast-forward drift factor must be >= 0")
-	}
-	if f.ExtinctionFloor < 0 {
-		return errors.New("sim: fast-forward extinction floor must be >= 0")
-	}
-	return nil
-}
-
-// WithFastForward tunes the hybrid engine's certified fast-forward and
-// implies EngineHybrid (combining it with an explicit different engine
-// is an error). The zero value of every field selects its default, so
-// WithFastForward(FastForward{}) just selects the engine.
-func WithFastForward(ff FastForward) Option {
-	return optionFunc(func(o *options) { o.ff = ff; o.ffSet = true })
+// defaultFFTuning is the tuning every hybrid run plans under.
+var defaultFFTuning = ffTuning{
+	minStretch:      4,
+	maxStretch:      65536,
+	delta:           1e-12,
+	gapFactor:       16,
+	driftFactor:     8,
+	extinctionFloor: 64,
 }
 
 // FFStretch describes one taken fast-forward stretch.
@@ -152,7 +103,8 @@ type FFStretch struct {
 	Rounds int
 	// ExitEnvelope is the certified L1 deviation envelope at the stretch
 	// exit: the true stochastic trajectory was within this L1 distance of
-	// the mean-field exit point except with probability Rounds·Delta.
+	// the mean-field exit point except with probability Rounds·10⁻¹², the
+	// planner's per-skipped-round failure budget.
 	ExitEnvelope float64
 }
 
@@ -178,16 +130,16 @@ type ffController struct {
 	mf        core.MeanFielder
 	c         *config.Config
 	r         *rng.RNG
-	tun       FastForward
+	tun       ffTuning
 	rep       *FastForwardReport
 	maxRounds int
 	// ctx is the run's context: plan polls it every extension iteration so
 	// a cancellation arriving mid-stretch stops the planning loop promptly
 	// instead of only being observed at the next round boundary.
 	ctx context.Context
-	// eligible is the run-level gate: the rule must expose an exact
-	// (multinomial) mean-field contract and the run must carry no
-	// per-round observable the planner cannot certify.
+	// eligible is the run-level gate: the rule must expose the
+	// mean-field contract and the run must carry no per-round observable
+	// the planner cannot certify.
 	eligible bool
 
 	cur, next []float64 // mean-field planning buffers (live support slots)
@@ -204,8 +156,7 @@ func newFFController(rule core.Rule, c *config.Config, r *rng.RNG, o options) *f
 		maxRounds: o.maxRounds,
 		ctx:       o.ctx,
 	}
-	if mf, ok := rule.(core.MeanFielder); ok && mf.MeanFieldExact() &&
-		o.adv == nil && o.observer == nil && o.stopWhen == nil {
+	if mf, ok := rule.(core.MeanFielder); ok && o.adv == nil && o.observer == nil && o.stopWhen == nil {
 		f.mf = mf
 		f.eligible = true
 	}
@@ -242,14 +193,14 @@ func (f *ffController) step(round int) int {
 }
 
 // plan tries to certify a fast-forward stretch starting at round. On
-// success it returns the stretch length m >= MinStretch with the
+// success it returns the stretch length m >= minStretch with the
 // mean-field exit point x_m in f.cur and the exit envelope in f.exitEnv;
 // otherwise it returns 0 and the next round runs exactly. On an
 // uncancelled context the decision is a pure function of the count
 // vector, so fixed seeds reproduce bit-exactly; a cancellation arriving
 // mid-planning stops extending the stretch (the already-certified prefix
 // still commits — those rounds are certified work), so the run loop
-// observes the cancellation promptly instead of after a full MaxStretch
+// observes the cancellation promptly instead of after a full maxStretch
 // plan.
 //
 //consensus:hotpath
@@ -260,7 +211,7 @@ func (f *ffController) plan(round int) int {
 	if k < 2 {
 		return 0
 	}
-	eps, err := analytic.MultinomialStepNoise(c.N(), k, f.tun.Delta)
+	eps, err := analytic.MultinomialStepNoise(c.N(), k, f.tun.delta)
 	if err != nil {
 		return 0
 	}
@@ -270,9 +221,9 @@ func (f *ffController) plan(round int) int {
 	c.Fractions(f.cur)
 
 	noiseL1 := float64(k) * eps // L1 step noise: k coordinates within ε each
-	floor := f.tun.ExtinctionFloor / float64(c.N())
-	minDrift := f.tun.DriftFactor * eps
-	maxStretch := f.tun.MaxStretch
+	floor := f.tun.extinctionFloor / float64(c.N())
+	minDrift := f.tun.driftFactor * eps
+	maxStretch := f.tun.maxStretch
 	if budget := f.maxRounds - round + 1; maxStretch > budget {
 		maxStretch = budget
 	}
@@ -314,7 +265,7 @@ func (f *ffController) plan(round int) int {
 		e = eNext
 		m++
 	}
-	if m < f.tun.MinStretch {
+	if m < f.tun.minStretch {
 		return 0
 	}
 	f.exitEnv = e
@@ -342,7 +293,7 @@ func (f *ffController) safe(x []float64, e, eps, floor float64) bool {
 			top2 = v
 		}
 	}
-	return top1-top2 >= 2*e+f.tun.GapFactor*eps
+	return top1-top2 >= 2*e+f.tun.gapFactor*eps
 }
 
 // runHybrid drives a hybrid run through the shared round loop.

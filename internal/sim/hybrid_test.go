@@ -24,7 +24,15 @@ import (
 // All runs are seeded: the suite cannot flake, only regress.
 
 func hybridRunner(factory core.Factory, opts ...Option) *Runner {
-	return NewFactoryRunner(factory, append([]Option{WithFastForward(FastForward{})}, opts...)...)
+	return NewFactoryRunner(factory, append([]Option{WithEngine(EngineHybrid)}, opts...)...)
+}
+
+// tunedHybridRunner is hybridRunner planning under tun instead of the
+// fixed default tuning.
+func tunedHybridRunner(factory core.Factory, tun ffTuning, opts ...Option) *Runner {
+	rn := hybridRunner(factory, opts...)
+	rn.o.ff = tun
+	return rn
 }
 
 // TestHybridVoterBitIdenticalToBatch: Voter's mean-field map is the
@@ -153,7 +161,7 @@ func TestHybridMatchesBatchDistribution(t *testing.T) {
 
 // TestHybridRoundsAccounting: virtual rounds must balance — every round
 // is either exact or inside exactly one stretch, every stretch respects
-// MinStretch, and MaxEnvelope is the max over stretch exits.
+// minStretch, and MaxEnvelope is the max over stretch exits.
 func TestHybridRoundsAccounting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("engagement needs n=1e6")
@@ -174,8 +182,8 @@ func TestHybridRoundsAccounting(t *testing.T) {
 	}
 	sum, maxEnv := 0, 0.0
 	for _, s := range rep.Stretches {
-		if s.Rounds < 4 { // default MinStretch
-			t.Errorf("stretch at round %d has %d rounds, below MinStretch", s.StartRound, s.Rounds)
+		if s.Rounds < defaultFFTuning.minStretch {
+			t.Errorf("stretch at round %d has %d rounds, below minStretch", s.StartRound, s.Rounds)
 		}
 		if s.ExitEnvelope <= 0 {
 			t.Errorf("stretch at round %d has non-positive envelope %g", s.StartRound, s.ExitEnvelope)
@@ -229,42 +237,15 @@ func TestHybridReportWorkerIndependent(t *testing.T) {
 	}
 }
 
-// TestWithFastForwardValidation: tuning conflicts and nonsense values
-// must fail at option-build time, not mid-run.
-func TestWithFastForwardValidation(t *testing.T) {
-	start := config.Balanced(100, 2)
-	run := func(opts ...Option) error {
-		_, err := NewRunner(rules.NewThreeMajority(), opts...).Run(context.Background(), start)
-		return err
-	}
-	if err := run(WithFastForward(FastForward{}), WithEngine(EngineBatch)); err == nil {
-		t.Error("WithFastForward + batch engine accepted")
-	}
-	if err := run(WithFastForward(FastForward{Delta: -0.1})); err == nil {
-		t.Error("negative delta accepted")
-	}
-	if err := run(WithFastForward(FastForward{Delta: 1.5})); err == nil {
-		t.Error("delta >= 1 accepted")
-	}
-	if err := run(WithFastForward(FastForward{MinStretch: -1})); err == nil {
-		t.Error("negative min stretch accepted")
-	}
-	if err := run(WithFastForward(FastForward{}), WithEngine(EngineHybrid)); err != nil {
-		t.Errorf("explicit hybrid engine rejected: %v", err)
-	}
-	if err := run(WithEngine(EngineHybrid)); err != nil {
-		t.Errorf("hybrid engine with default tuning rejected: %v", err)
-	}
-}
-
 // planLen runs the stretch planner once against start under the given
 // tuning and returns the certified stretch length.
-func planLen(t *testing.T, rule core.Rule, start *config.Config, ff FastForward) int {
+func planLen(t *testing.T, rule core.Rule, start *config.Config, tun ffTuning) int {
 	t.Helper()
-	o, err := buildOptions([]Option{WithFastForward(ff)})
+	o, err := buildOptions([]Option{WithEngine(EngineHybrid)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	o.ff = tun
 	ctl := newFFController(rule, start.Clone(), rng.New(1), o)
 	if !ctl.eligible {
 		t.Fatalf("rule %q unexpectedly ineligible", rule.Name())
@@ -279,28 +260,33 @@ func planLen(t *testing.T, rule core.Rule, start *config.Config, ff FastForward)
 func TestFastForwardTuningMonotonicity(t *testing.T) {
 	start := config.TwoBlock(1_000_000, 620_000)
 	rule := rules.NewThreeMajority()
-	base := planLen(t, rule, start, FastForward{})
+	tuned := func(change func(*ffTuning)) ffTuning {
+		tun := defaultFFTuning
+		change(&tun)
+		return tun
+	}
+	base := planLen(t, rule, start, defaultFFTuning)
 	if base <= 0 {
 		t.Fatalf("planner certified no stretch from a wide-gap state (got %d); monotonicity test is vacuous", base)
 	}
-	if got := planLen(t, rule, start, FastForward{GapFactor: 64}); got > base {
+	if got := planLen(t, rule, start, tuned(func(f *ffTuning) { f.gapFactor = 64 })); got > base {
 		t.Errorf("stretch grew from %d to %d when the gap margin tightened", base, got)
 	}
-	if got := planLen(t, rule, start, FastForward{DriftFactor: 64}); got > base {
+	if got := planLen(t, rule, start, tuned(func(f *ffTuning) { f.driftFactor = 64 })); got > base {
 		t.Errorf("stretch grew from %d to %d when the drift criterion tightened", base, got)
 	}
-	if got := planLen(t, rule, start, FastForward{Delta: 1e-6}); got < base {
+	if got := planLen(t, rule, start, tuned(func(f *ffTuning) { f.delta = 1e-6 })); got < base {
 		t.Errorf("stretch shrank from %d to %d when the failure budget loosened", base, got)
 	}
-	if got := planLen(t, rule, start, FastForward{ExtinctionFloor: 1e5}); got > base {
+	if got := planLen(t, rule, start, tuned(func(f *ffTuning) { f.extinctionFloor = 1e5 })); got > base {
 		t.Errorf("stretch grew from %d to %d when the extinction floor rose", base, got)
 	}
 }
 
 // TestHybridEligibility: the run-level gate. 2-Choices shares Eq. 2's
 // expectation but its one-round law is not the multinomial the envelope
-// certifies (MeanFieldExact is false); observers and stop predicates are
-// arbitrary per-round observables.
+// certifies, so it does not implement core.MeanFielder; observers and
+// stop predicates are arbitrary per-round observables.
 func TestHybridEligibility(t *testing.T) {
 	c := config.Balanced(1000, 2)
 	mk := func(rule core.Rule, opts ...Option) *ffController {
@@ -332,7 +318,7 @@ func TestHybridEligibility(t *testing.T) {
 // hybrid run; after the first call warms the planning buffers they must
 // not allocate (AllocsPerRun must be 0 in steady state).
 func TestHybridPlannerZeroAllocs(t *testing.T) {
-	o, err := buildOptions([]Option{WithFastForward(FastForward{})})
+	o, err := buildOptions([]Option{WithEngine(EngineHybrid)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,18 +349,17 @@ func FuzzFastForward(f *testing.F) {
 		k := 2 + int(kRaw)%7
 		bias := int(biasRaw) * (n / 2) / 256
 		start := config.Biased(n, k, bias)
-		ff := FastForward{
-			MinStretch:  1 + int(gapRaw)%8,
-			GapFactor:   float64(1 + int(gapRaw)%32),
-			DriftFactor: float64(1 + int(driftRaw)%16),
-			Delta:       1e-9,
-		}
+		tun := defaultFFTuning
+		tun.minStretch = 1 + int(gapRaw)%8
+		tun.gapFactor = float64(1 + int(gapRaw)%32)
+		tun.driftFactor = float64(1 + int(driftRaw)%16)
+		tun.delta = 1e-9
 		var factory core.Factory = func() core.Rule { return rules.NewThreeMajority() }
 		if kRaw&8 != 0 {
 			factory = func() core.Rule { return rules.NewHMajority(5) }
 		}
 		run := func(p int) *Result {
-			res, err := hybridRunner(factory, WithFastForward(ff), WithMaxRounds(2000),
+			res, err := tunedHybridRunner(factory, tun, WithMaxRounds(2000),
 				WithSeed(seed), WithParallelism(p)).Run(context.Background(), start)
 			if err != nil {
 				t.Fatal(err)
@@ -402,8 +387,8 @@ func FuzzFastForward(f *testing.F) {
 		}
 		sum := 0
 		for _, s := range rep.Stretches {
-			if s.Rounds < ff.MinStretch {
-				t.Fatalf("stretch of %d rounds below MinStretch %d", s.Rounds, ff.MinStretch)
+			if s.Rounds < tun.minStretch {
+				t.Fatalf("stretch of %d rounds below minStretch %d", s.Rounds, tun.minStretch)
 			}
 			sum += s.Rounds
 		}
@@ -450,7 +435,7 @@ func (c *doneAfterCtx) Err() error {
 // TestHybridCancelMidStretchReturnsCompletedWork is the regression test
 // for cancellation observed mid-stretch: cancelling while the planner is
 // extending a fast-forward stretch must (a) stop the planning loop
-// promptly instead of running it to MaxStretch, (b) still commit the
+// promptly instead of running it to maxStretch, (b) still commit the
 // already-certified prefix, and (c) return the partial Result for the
 // work completed so far alongside the error — the single-run mirror of
 // TestRunReplicasReturnsCompletedWorkOnLateCancel.
@@ -458,10 +443,9 @@ func TestHybridCancelMidStretchReturnsCompletedWork(t *testing.T) {
 	// A mildly-biased large start under loosened tuning: the first stretch
 	// certifies 7 rounds, long enough to land a cancellation inside it.
 	start := config.TwoBlock(10_000_000, 4_500_000)
-	tun := FastForward{MinStretch: 2, Delta: 1e-3, GapFactor: 1, DriftFactor: 0.5, ExtinctionFloor: 1}
+	tun := ffTuning{minStretch: 2, maxStretch: 65536, delta: 1e-3, gapFactor: 1, driftFactor: 0.5, extinctionFloor: 1}
 	mk := func() *Runner {
-		return NewFactoryRunner(func() core.Rule { return rules.NewThreeMajority() },
-			WithFastForward(tun), WithSeed(42))
+		return tunedHybridRunner(func() core.Rule { return rules.NewThreeMajority() }, tun, WithSeed(42))
 	}
 
 	// Precondition: uncancelled, the run fast-forwards immediately and its
@@ -497,9 +481,9 @@ func TestHybridCancelMidStretchReturnsCompletedWork(t *testing.T) {
 		t.Fatalf("partial result lost its fast-forward report: %+v", rep)
 	}
 	got := rep.Stretches[0].Rounds
-	if got < tun.MinStretch || got >= first.Rounds {
+	if got < tun.minStretch || got >= first.Rounds {
 		t.Fatalf("cancelled stretch covers %d rounds, want in [%d, %d): planning must stop at the cancellation and keep only the certified prefix",
-			got, tun.MinStretch, first.Rounds)
+			got, tun.minStretch, first.Rounds)
 	}
 	if res.Rounds != rep.ExactRounds+rep.SkippedRounds {
 		t.Fatalf("partial accounting broken: rounds %d != exact %d + skipped %d",

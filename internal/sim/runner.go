@@ -45,9 +45,10 @@ const (
 	// vector many rounds at once along the mean-field map x_{t+1} = α(x_t)
 	// under a rigorous concentration envelope, handing back to exact
 	// sampling near ties, extinctions, stop predicates and adversaries
-	// (WithFastForward, DESIGN.md §8). Result.Rounds counts the virtual
-	// (skipped) rounds; runs are bit-exact for a fixed seed like every
-	// other engine.
+	// (DESIGN.md §8). WithEngine(EngineHybrid) is the only way to select
+	// it, and it always plans under the same fixed tuning. Result.Rounds
+	// counts the virtual (skipped) rounds; runs are bit-exact for a fixed
+	// seed like every other engine.
 	EngineHybrid
 )
 

@@ -118,8 +118,9 @@ type options struct {
 	behaviors     *behaviors
 	invalidLabels []int
 
-	ff    FastForward
-	ffSet bool
+	// ff is the hybrid planner's tuning: always defaultFFTuning outside
+	// the package's own tests.
+	ff ffTuning
 
 	rng     *rng.RNG
 	seed    uint64
@@ -249,6 +250,7 @@ func buildOptions(opts []Option) (options, error) {
 		ctx:          context.Background(),
 		maxRounds:    10_000_000,
 		targetColors: 1,
+		ff:           defaultFFTuning,
 		seed:         1,
 	}
 	for _, opt := range opts {
@@ -285,18 +287,6 @@ func buildOptions(opts []Option) (options, error) {
 	if o.engineSet && (o.engine < EngineBatch || o.engine > EngineHybrid) {
 		return o, errors.New("sim: unknown engine")
 	}
-	if o.ffSet {
-		if err := o.ff.validate(); err != nil {
-			return o, err
-		}
-		if !o.engineSet {
-			o.engine = EngineHybrid
-			o.engineSet = true
-		} else if o.engine != EngineHybrid {
-			return o, errors.New("sim: WithFastForward requires the hybrid engine")
-		}
-	}
-	o.ff = o.ff.withDefaults()
 	if o.graph != nil {
 		if !o.engineSet {
 			o.engine = EngineGraph

@@ -325,20 +325,6 @@ func (s *Scenario) validateDefaults(d *RunDefaults, path string) error {
 			}
 		}
 	}
-	if d.FastForward != nil {
-		for _, f := range []quantityField{
-			{"fast_forward.min_stretch", &d.FastForward.MinStretch},
-			{"fast_forward.max_stretch", &d.FastForward.MaxStretch},
-			{"fast_forward.delta", &d.FastForward.Delta},
-			{"fast_forward.gap_factor", &d.FastForward.GapFactor},
-			{"fast_forward.drift_factor", &d.FastForward.DriftFactor},
-			{"fast_forward.extinction_floor", &d.FastForward.ExtinctionFloor},
-		} {
-			if err := f.q.compile(path + "." + f.sub); err != nil {
-				return fmt.Errorf("scenario %q: %w", s.Name, err)
-			}
-		}
-	}
 	if len(d.Nodes) > 0 {
 		if d.Init != nil {
 			return fail("nodes", "a nodes section composes the whole start configuration; drop the init section")

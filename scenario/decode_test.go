@@ -234,6 +234,26 @@ func TestValidationMessages(t *testing.T) {
 			src:     mutate(`"replicas": 2`, `"replicas": [2]`),
 			wantSub: "quantity must be a number",
 		},
+		{
+			name:    "fast_forward tuning field",
+			src:     mutate(`"rule": {"name": "3-majority"},`, `"rule": {"name": "3-majority"}, "fast_forward": {"gap_factor": 32},`),
+			wantSub: `json: unknown field "gap_factor"`,
+		},
+		{
+			name:    "fast_forward with topology",
+			src:     mutate(`"rule": {"name": "3-majority"},`, `"rule": {"name": "3-majority"}, "fast_forward": {}, "topology": {"name": "ring"},`),
+			wantSub: "a fast_forward section implies the hybrid engine; drop the topology/network section",
+		},
+		{
+			name:    "fast_forward with network",
+			src:     mutate(`"rule": {"name": "3-majority"},`, `"rule": {"name": "3-majority"}, "fast_forward": {}, "network": {"delay": 1},`),
+			wantSub: "a fast_forward section implies the hybrid engine; drop the topology/network section",
+		},
+		{
+			name:    "fast_forward with batch engine",
+			src:     mutate(`"rule": {"name": "3-majority"},`, `"rule": {"name": "3-majority"}, "fast_forward": {}, "engine": "batch",`),
+			wantSub: `a fast_forward section implies the hybrid engine; engine is "batch"`,
+		},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
@@ -285,6 +305,25 @@ func TestCrossSectionEngineTopology(t *testing.T) {
 		if _, err := scenario.DecodeBytes([]byte(tt.src)); err == nil ||
 			!strings.Contains(err.Error(), tt.wantSub) {
 			t.Errorf("invalid cross-section spec: err = %v, want substring %q", err, tt.wantSub)
+		}
+	}
+}
+
+// TestFastForwardSectionSelectsHybrid: an empty fast_forward section
+// with no engine field resolves to the hybrid engine.
+func TestFastForwardSectionSelectsHybrid(t *testing.T) {
+	src := strings.Replace(validSpec, `"rule": {"name": "3-majority"},`, `"rule": {"name": "3-majority"}, "fast_forward": {},`, 1)
+	s, err := scenario.DecodeBytes([]byte(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := s.Expand(scenario.Params{Seed: 1, Scale: scenario.Quick})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rs := range specs {
+		if rs.Engine != scenario.EngineHybrid {
+			t.Fatalf("fast_forward section resolved to engine %v, want hybrid", rs.Engine)
 		}
 	}
 }

@@ -253,16 +253,6 @@ func newRunner(spec *RunSpec, g graph.Graph, grouped *groupedStart) (*sim.Runner
 	if spec.Network != nil {
 		opts = append(opts, sim.WithNetwork(buildNetwork(spec.Network)))
 	}
-	if spec.FastForward != nil {
-		opts = append(opts, sim.WithFastForward(sim.FastForward{
-			MinStretch:      spec.FastForward.MinStretch,
-			MaxStretch:      spec.FastForward.MaxStretch,
-			Delta:           spec.FastForward.Delta,
-			GapFactor:       spec.FastForward.GapFactor,
-			DriftFactor:     spec.FastForward.DriftFactor,
-			ExtinctionFloor: spec.FastForward.ExtinctionFloor,
-		}))
-	}
 	if spec.StopWhen != nil {
 		pred, ok := stopPredicates[spec.StopWhen.Name]
 		if !ok {

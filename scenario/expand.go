@@ -64,9 +64,6 @@ type RunSpec struct {
 	Topology *ResolvedTopology
 	// Network is the resolved network model (cluster engine only).
 	Network *ResolvedNetwork
-	// FastForward is the resolved fast-forward tuning (hybrid engine
-	// only; nil on the hybrid engine means default tuning).
-	FastForward *ResolvedFastForward
 	// Init is the resolved start-configuration generator. Ignored when
 	// Nodes is non-empty: the groups compose the whole start.
 	Init ResolvedInit
@@ -116,17 +113,6 @@ type ResolvedNetwork struct {
 type ResolvedPartition struct {
 	From, Until int
 	Groups      int
-}
-
-// ResolvedFastForward is a hybrid-engine fast-forward tuning with
-// concrete parameters; zero fields select the engine defaults.
-type ResolvedFastForward struct {
-	MinStretch      int
-	MaxStretch      int
-	Delta           float64
-	GapFactor       float64
-	DriftFactor     float64
-	ExtinctionFloor float64
 }
 
 // ResolvedInit is a start-configuration generator with concrete
@@ -376,11 +362,6 @@ func (s *Scenario) resolveGroup(g *RunGroup, scale Scale, n int, env map[string]
 			return spec, fmt.Errorf("engine: a fast_forward section implies the hybrid engine, got %q", g.Engine)
 		}
 		spec.Engine = EngineHybrid
-		ff, err := resolveFastForward(g.FastForward, scale, env)
-		if err != nil {
-			return spec, err
-		}
-		spec.FastForward = ff
 	case g.Engine == "" || g.Engine == "batch":
 		spec.Engine = EngineBatch
 	case g.Engine == "agents":
@@ -553,49 +534,4 @@ func resolveNetwork(ns *NetworkSpec, scale Scale, env map[string]float64) (*Reso
 		net.Partitions = append(net.Partitions, rp)
 	}
 	return net, nil
-}
-
-// resolveFastForward evaluates a fast_forward section against a cell's
-// bindings, range-checking every field so a bad spec fails at expansion
-// with the field's path instead of inside the engine.
-func resolveFastForward(fs *FastForwardSpec, scale Scale, env map[string]float64) (*ResolvedFastForward, error) {
-	ff := &ResolvedFastForward{}
-	var err error
-	if ff.MinStretch, err = evalIntOr(&fs.MinStretch, scale, env, 0, "fast_forward.min_stretch"); err != nil {
-		return nil, err
-	}
-	if ff.MinStretch < 0 {
-		return nil, fmt.Errorf("fast_forward.min_stretch: must be >= 0, got %d", ff.MinStretch)
-	}
-	if ff.MaxStretch, err = evalIntOr(&fs.MaxStretch, scale, env, 0, "fast_forward.max_stretch"); err != nil {
-		return nil, err
-	}
-	if ff.MaxStretch < 0 {
-		return nil, fmt.Errorf("fast_forward.max_stretch: must be >= 0, got %d", ff.MaxStretch)
-	}
-	if ff.Delta, err = evalFloatOr(&fs.Delta, scale, env, 0, "fast_forward.delta"); err != nil {
-		return nil, err
-	}
-	if ff.Delta < 0 || ff.Delta >= 1 {
-		return nil, fmt.Errorf("fast_forward.delta: must be in (0, 1), got %v", ff.Delta)
-	}
-	if ff.GapFactor, err = evalFloatOr(&fs.GapFactor, scale, env, 0, "fast_forward.gap_factor"); err != nil {
-		return nil, err
-	}
-	if ff.GapFactor < 0 {
-		return nil, fmt.Errorf("fast_forward.gap_factor: must be >= 0, got %v", ff.GapFactor)
-	}
-	if ff.DriftFactor, err = evalFloatOr(&fs.DriftFactor, scale, env, 0, "fast_forward.drift_factor"); err != nil {
-		return nil, err
-	}
-	if ff.DriftFactor < 0 {
-		return nil, fmt.Errorf("fast_forward.drift_factor: must be >= 0, got %v", ff.DriftFactor)
-	}
-	if ff.ExtinctionFloor, err = evalFloatOr(&fs.ExtinctionFloor, scale, env, 0, "fast_forward.extinction_floor"); err != nil {
-		return nil, err
-	}
-	if ff.ExtinctionFloor < 0 {
-		return nil, fmt.Errorf("fast_forward.extinction_floor: must be >= 0, got %v", ff.ExtinctionFloor)
-	}
-	return ff, nil
 }

@@ -146,7 +146,7 @@ type RunDefaults struct {
 	// Network shapes message delivery on the event-driven cluster engine
 	// (engine "cluster" only; a network section implies it).
 	Network *NetworkSpec `json:"network,omitempty"`
-	// FastForward tunes the hybrid engine's certified fast-forward
+	// FastForward selects the hybrid engine's certified fast-forward
 	// (engine "hybrid" only; a fast_forward section implies it).
 	FastForward *FastForwardSpec `json:"fast_forward,omitempty"`
 	// Init generates the start configuration (default singleton).
@@ -224,26 +224,11 @@ type PartitionSpec struct {
 	Groups Quantity `json:"groups,omitempty"`
 }
 
-// FastForwardSpec tunes the hybrid engine's certified analytic
-// fast-forward (DESIGN.md §8). Every field is optional; an unset field
-// selects the engine default. The empty section just selects the hybrid
-// engine with default tuning.
-type FastForwardSpec struct {
-	// MinStretch is the smallest stretch worth taking (default 4).
-	MinStretch Quantity `json:"min_stretch,omitempty"`
-	// MaxStretch caps a single certified stretch (default 65536).
-	MaxStretch Quantity `json:"max_stretch,omitempty"`
-	// Delta is the per-skipped-round envelope failure budget (default
-	// 1e-12).
-	Delta Quantity `json:"delta,omitempty"`
-	// GapFactor scales the near-tie boundary margin (default 16).
-	GapFactor Quantity `json:"gap_factor,omitempty"`
-	// DriftFactor scales the drift-dominance criterion (default 8).
-	DriftFactor Quantity `json:"drift_factor,omitempty"`
-	// ExtinctionFloor is the per-color support floor in nodes (default
-	// 64).
-	ExtinctionFloor Quantity `json:"extinction_floor,omitempty"`
-}
+// FastForwardSpec selects the hybrid engine (DESIGN.md §8): a
+// fast_forward section implies engine "hybrid". The section carries no
+// fields, because the engine plans under one fixed tuning; "{}" is its
+// only valid form.
+type FastForwardSpec struct{}
 
 // InitSpec generates the start configuration of every run in a group.
 type InitSpec struct {
