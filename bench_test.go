@@ -170,6 +170,45 @@ func BenchmarkClusterRound(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds)/n, "ns/node-round")
 }
 
+// BenchmarkAgentsRun measures the agents kernel on two of the pernode
+// workload's cells: 3-Majority from a balanced 16-color start, one shard,
+// run to consensus. The agents cell pulls uniformly at n = 5·10^4; the
+// graph-regular cell pulls through a random 3-regular graph at n = 10^4.
+// Each iteration is one whole run, so set-up is included; ns/node-round
+// divides by the rounds it took.
+func BenchmarkAgentsRun(b *testing.B) {
+	rr, err := consensus.NewRandomRegularGraph(10_000, 3, consensus.NewRNG(7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cells := []struct {
+		name string
+		n    int
+		opt  consensus.Option
+	}{
+		{"agents", 50_000, consensus.WithEngine(consensus.EngineAgents)},
+		{"graph-regular", 10_000, consensus.WithGraph(rr)},
+	}
+	for _, c := range cells {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := consensus.BalancedConfig(c.n, 16)
+			runner := consensus.NewFactoryRunner(
+				func() consensus.Rule { return consensus.NewThreeMajority() },
+				c.opt, consensus.WithParallelism(1), consensus.WithSeed(21))
+			b.ReportAllocs()
+			rounds := 0
+			for i := 0; i < b.N; i++ {
+				res, err := runner.Run(context.Background(), cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rounds += res.Rounds
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds)/float64(c.n), "ns/node-round")
+		})
+	}
+}
+
 // BenchmarkSuiteReplicas prices the scenario layer's per-run work on the
 // paper-batch workload's biased regime (the ff-batch family's k = 2
 // cell): 3-Majority on the batch engine at n = 10^6 from a two-color

@@ -75,3 +75,40 @@ func BenchmarkAlphaEval(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkChunkUpdate measures the per-node rule layer of the agents
+// kernel on its own: 3-Majority over chunks of 256 nodes whose samples
+// are uniform over k colors, pre-drawn so no sampling is timed. The
+// per-node form calls Update through core.NodeRule once per node, as
+// every rule without a chunk form does; the chunk form is the loop
+// ChunkUpdater returns for 3-Majority. 64 distinct chunks cycle, so the
+// branch predictor cannot learn the samples.
+func BenchmarkChunkUpdate(b *testing.B) {
+	const nodes, chunks = 256, 64
+	forms := []struct {
+		name   string
+		update ChunkUpdate
+	}{
+		{"per-node", updateLoop{rule: NewThreeMajority(), h: 3}.updateEach},
+		{"chunk", ChunkUpdater(NewThreeMajority())},
+	}
+	for _, k := range []int{2, 8, 16} {
+		samples := make([]int, chunks*nodes*3)
+		rng.New(1).FillIntN(k, samples)
+		for _, f := range forms {
+			b.Run(fmt.Sprintf("k=%d/%s", k, f.name), func(b *testing.B) {
+				own := make([]int, nodes)
+				next := make([]int, nodes)
+				tally := make([]int, k)
+				r := rng.New(2)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c := i % chunks
+					f.update(own, samples[c*nodes*3:(c+1)*nodes*3], next, tally, r)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/nodes, "ns/node")
+			})
+		}
+	}
+}

@@ -66,13 +66,35 @@ func (m *ThreeMajority) Samples() int { return 3 }
 //
 //consensus:hotpath
 func (m *ThreeMajority) Update(_ int, samples []int, r *rng.RNG) int {
-	s0, s1, s2 := samples[0], samples[1], samples[2]
-	switch {
-	case s0 == s1 || s0 == s2:
-		return s0
-	case s1 == s2:
-		return s1
-	default:
-		return samples[r.IntN(3)]
+	if c, ok := majorityOfThree(samples[0], samples[1], samples[2]); ok {
+		return c
 	}
+	return anyOfThree(samples, r)
+}
+
+// majorityOfThree is the 3-Majority decision on one node's samples s0, s1,
+// s2, shared by Update and threeMajorityChunk: the color at least two of
+// them share, with ok = true, or ok = false when all three differ. It
+// takes no branch: c is selected by a mask (s1 when s1 == s2, else s0),
+// and a pair is equal exactly when its XOR is 0, which the unsigned
+// minimum detects. With two colors of similar support, whether s0 == s1
+// is a coin flip that a branch predictor loses half the time.
+func majorityOfThree(s0, s1, s2 int) (c int, ok bool) {
+	c = s0 ^ ((s0 ^ s1) & -b2i(s1 == s2))
+	return c, min(uint(s0^s1), uint(s0^s2), uint(s1^s2)) == 0
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it as a flag set.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// anyOfThree is 3-Majority's tie-break, shared by Update and
+// threeMajorityChunk: a uniformly random one of the three samples, by one
+// r.IntN(3) draw. Both helpers are small enough to inline.
+func anyOfThree(samples []int, r *rng.RNG) int {
+	return samples[r.IntN(3)]
 }

@@ -7,6 +7,7 @@ import (
 	"github.com/ignorecomply/consensus/internal/core"
 	"github.com/ignorecomply/consensus/internal/graph"
 	"github.com/ignorecomply/consensus/internal/rng"
+	"github.com/ignorecomply/consensus/internal/rules"
 )
 
 // agentsState is the engine room of one per-node run — agents, graph and
@@ -27,12 +28,12 @@ type agentsState struct {
 	nb    *neighbors // sparse topology; nil for uniform node pulls
 	h     int        // samples per node (the max over groups when heterogeneous)
 
-	// Sequential path (p == 1): the run's own stream, chunk buffer and
-	// next-count tally.
-	rule  core.NodeRule
-	r     *rng.RNG
-	buf   []int // sampleChunk·h strided sample buffer
-	tally []int
+	// Sequential path (p == 1): the run's chunk update, own stream, chunk
+	// buffer and next-count tally.
+	update rules.ChunkUpdate
+	r      *rng.RNG
+	buf    []int // sampleChunk·h strided sample buffer
+	tally  []int
 
 	// Sharded path (p > 1).
 	pool *shardPool
@@ -112,7 +113,6 @@ func newAgentsState(rule core.NodeRule, factory core.Factory, start *config.Conf
 		nodes: c.Nodes(),
 		next:  make([]int, c.N()),
 		h:     rule.Samples(),
-		rule:  rule,
 		r:     r,
 	}
 	if _, complete := o.graph.(*graph.Complete); o.graph == nil || complete {
@@ -134,6 +134,9 @@ func newAgentsState(rule core.NodeRule, factory core.Factory, start *config.Conf
 	}
 	if p == 1 {
 		st.buf = make([]int, sampleChunk*st.h)
+		if st.behav == nil {
+			st.update = rules.ChunkUpdater(rule)
+		}
 		return st, nil
 	}
 
@@ -158,22 +161,23 @@ func newAgentsState(rule core.NodeRule, factory core.Factory, start *config.Conf
 		return nil, err
 	}
 	st.pool = newShardPool(c.N(), p, func(s, lo, hi int, tally []int) {
-		agentsShardRound(st, su.rules[s], su.streams[s], su.bufs[s], lo, hi, tally)
+		agentsShardRound(st, su.updates[s], su.streams[s], su.bufs[s], lo, hi, tally)
 	})
 	return st, nil
 }
 
 // agentsShardRound runs one round over the node range [lo, hi): it fills
-// the strided sample buffer one chunk of nodes at a time, applies the
-// per-node updates, and tallies the next-state counts in the same pass. A
-// uniform node pull is a categorical color draw, so one batched alias fill
-// is the whole sampling step; on a regular topology one batched
-// neighbor-index fill is resolved in place. An irregular topology draws
-// one IntN(deg) per sample, in chunks of one node, so that each node's
-// draws come just before its Update's.
+// the strided sample buffer one chunk of nodes at a time, then hands the
+// whole chunk to the rule's chunk update, which writes the next states and
+// tallies their counts in the same pass. A uniform node pull is a
+// categorical color draw, so one batched alias fill is the whole sampling
+// step; on a regular topology one batched neighbor-index fill is resolved
+// in place. An irregular topology draws one IntN(deg) per sample, in
+// chunks of one node, so that each node's draws come just before its
+// update's.
 //
 //consensus:hotpath
-func agentsShardRound(st *agentsState, rule core.NodeRule, r *rng.RNG, buf []int, lo, hi int, tally []int) {
+func agentsShardRound(st *agentsState, update rules.ChunkUpdate, r *rng.RNG, buf []int, lo, hi int, tally []int) {
 	h := st.h
 	nb := st.nb
 	nodesPerChunk := sampleChunk
@@ -195,12 +199,7 @@ func agentsShardRound(st *agentsState, rule core.NodeRule, r *rng.RNG, buf []int
 		default:
 			nb.draw(st.nodes, base, chunk, r)
 		}
-		for i := base; i < end; i++ {
-			samples := chunk[(i-base)*h : (i-base+1)*h]
-			nxt := rule.Update(st.nodes[i], samples, r)
-			st.next[i] = nxt
-			tally[nxt]++
-		}
+		update(st.nodes[base:end], chunk, st.next[base:end], tally, r)
 	}
 }
 
@@ -256,7 +255,7 @@ func (st *agentsState) step(round int) {
 		if st.behav != nil {
 			agentsShardRoundHetero(st, st.behav.rules[0], st.r, st.buf, 0, len(st.nodes), st.tally)
 		} else {
-			agentsShardRound(st, st.rule, st.r, st.buf, 0, len(st.nodes), st.tally)
+			agentsShardRound(st, st.update, st.r, st.buf, 0, len(st.nodes), st.tally)
 		}
 		st.nodes, st.next = st.next, st.nodes
 		copy(counts, st.tally)

@@ -223,6 +223,52 @@ func TestShardedFixedSeedFixedPIsBitExact(t *testing.T) {
 	}
 }
 
+// perNodeOnly hides a rule's concrete type, so rules.ChunkUpdater gives
+// the kernel the generic loop over its Update.
+type perNodeOnly struct{ *rules.ThreeMajority }
+
+// TestChunkUpdateMatchesPerNodeRuns: 3-Majority's chunk form runs the same
+// rounds as its per-node Update loop, bit for bit — every round's counts,
+// the final configuration and the winner — at p = 1 and p = 2, with
+// uniform pulls (agents), a regular topology (batched neighbor fill) and an
+// irregular one (chunks of one node).
+func TestChunkUpdateMatchesPerNodeRuns(t *testing.T) {
+	rr, err := graph.NewRandomRegular(400, 3, rng.New(98))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2} {
+		for name, opts := range map[string][]Option{
+			"agents": {WithEngine(EngineAgents)},
+			"graph":  {WithGraph(rr), WithMaxRounds(5000)},
+			"star":   {WithGraph(graph.NewStar(400)), WithMaxRounds(5000)},
+		} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				run := func(f core.Factory) *Result {
+					res, err := NewFactoryRunner(f,
+						append([]Option{WithParallelism(p), WithSeed(seed), WithTrace(1)}, opts...)...).
+						Run(context.Background(), config.Balanced(400, 8))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				chunk := run(func() core.Rule { return rules.NewThreeMajority() })
+				each := run(func() core.Rule { return perNodeOnly{rules.NewThreeMajority()} })
+				if chunk.Rounds != each.Rounds || chunk.WinnerLabel != each.WinnerLabel ||
+					!reflect.DeepEqual(chunk.Final.CountsCopy(), each.Final.CountsCopy()) {
+					t.Fatalf("%s p=%d seed %d: chunk form %d rounds, winner %d, %v; per-node loop %d, %d, %v",
+						name, p, seed, chunk.Rounds, chunk.WinnerLabel, chunk.Final.CountsCopy(),
+						each.Rounds, each.WinnerLabel, each.Final.CountsCopy())
+				}
+				if !reflect.DeepEqual(chunk.Trace, each.Trace) {
+					t.Fatalf("%s p=%d seed %d: round traces diverge", name, p, seed)
+				}
+			}
+		}
+	}
+}
+
 // TestParallelismValidation: negative parallelism is rejected; zero means
 // auto and one shard on a one-node population is fine.
 func TestParallelismValidation(t *testing.T) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/ignorecomply/consensus/internal/config"
@@ -34,14 +35,32 @@ func BenchmarkRoundAgentsParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			st := newBenchAgentsState(b, 100_000, 8, p)
 			defer st.close()
-			st.step(0) // warm the scratch to steady state
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st.step(i)
-			}
+			benchRounds(b, st)
 		})
 	}
+}
+
+// benchRounds times b.N rounds of st from its current state, reporting
+// ns/node-round. Whenever the population reaches consensus it is reset to
+// that state with the timer stopped, so every timed round is a round of a
+// live run, with its ties, and never a consensus round that only copies
+// one color.
+func benchRounds(b *testing.B, st *agentsState) {
+	startCounts := slices.Clone(st.c.CountsView())
+	startNodes := slices.Clone(st.nodes)
+	st.step(0) // warm the scratch to steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if st.c.IsConsensus() {
+			b.StopTimer()
+			copy(st.c.CountsView(), startCounts)
+			copy(st.nodes, startNodes)
+			b.StartTimer()
+		}
+		st.step(i)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(st.nodes)), "ns/node-round")
 }
 
 // newBenchGraphState builds a steady graph-round stepper on g from a
@@ -85,12 +104,7 @@ func BenchmarkRoundGraph(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			st := newBenchGraphState(b, benchGraphs(b, 100)[name], 1)
 			defer st.close()
-			st.step(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st.step(i)
-			}
+			benchRounds(b, st)
 		})
 	}
 }

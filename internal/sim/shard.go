@@ -5,6 +5,7 @@ import (
 
 	"github.com/ignorecomply/consensus/internal/core"
 	"github.com/ignorecomply/consensus/internal/rng"
+	"github.com/ignorecomply/consensus/internal/rules"
 )
 
 // sampleChunk is the number of nodes whose samples are drawn per batched
@@ -16,11 +17,11 @@ import (
 const sampleChunk = 256
 
 // shardSetup is the per-shard state of the agents kernel, which runs the
-// agents, graph and zero-latency cluster engines: one rule instance, one
-// derived random stream and one strided sample buffer (sampleChunk·h
-// entries) per shard.
+// agents, graph and zero-latency cluster engines: the chunk update of one
+// rule instance, one derived random stream and one strided sample buffer
+// (sampleChunk·h entries) per shard.
 type shardSetup struct {
-	rules   []core.NodeRule
+	updates []rules.ChunkUpdate
 	streams []*rng.RNG
 	bufs    [][]int
 	h       int
@@ -29,28 +30,25 @@ type shardSetup struct {
 // newShardSetup resolves the per-shard state for p shards. Shard 0 runs the
 // primary rule instance; the rest get fresh factory instances when a
 // factory is available, and otherwise share the primary (whose Update must
-// then be concurrency-safe). Streams are derived up front from the run's
-// stream in shard order, so the assignment is a pure function of (seed, p).
+// then be concurrency-safe). Each instance's chunk update is resolved once,
+// here. Streams are derived up front from the run's stream in shard order,
+// so the assignment is a pure function of (seed, p).
 func newShardSetup(rule core.NodeRule, factory core.Factory, p int, e Engine, r *rng.RNG) (*shardSetup, error) {
 	su := &shardSetup{
-		rules:   make([]core.NodeRule, p),
+		updates: make([]rules.ChunkUpdate, p),
 		streams: make([]*rng.RNG, p),
 		bufs:    make([][]int, p),
 		h:       rule.Samples(),
 	}
-	su.rules[0] = rule
 	for s := 0; s < p; s++ {
-		if s > 0 {
-			if factory == nil {
-				su.rules[s] = rule
-			} else {
-				nr, err := newInstance(factory, e, su.h)
-				if err != nil {
-					return nil, err
-				}
-				su.rules[s] = nr
+		nr := rule
+		if s > 0 && factory != nil {
+			var err error
+			if nr, err = newInstance(factory, e, su.h); err != nil {
+				return nil, err
 			}
 		}
+		su.updates[s] = rules.ChunkUpdater(nr)
 		su.streams[s] = r.Derive(uint64(s))
 		su.bufs[s] = make([]int, sampleChunk*su.h)
 	}

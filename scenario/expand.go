@@ -322,18 +322,10 @@ func (s *Scenario) resolveGroup(g *RunGroup, scale Scale, n int, env map[string]
 		return spec, fmt.Errorf("rule.h: h-majority needs h >= 1 (set rule.h)")
 	}
 
-	// Engine, topology, network and fast-forward.
+	// Engine, topology, network and fast-forward. Validate has already
+	// rejected every conflict between the sections and the engine.
 	switch {
 	case g.Topology != nil:
-		if g.Network != nil {
-			return spec, fmt.Errorf("engine: a network section implies the cluster engine, a topology the graph engine; pick one")
-		}
-		if g.FastForward != nil {
-			return spec, fmt.Errorf("engine: a fast_forward section implies the hybrid engine, a topology the graph engine; pick one")
-		}
-		if g.Engine != "" && g.Engine != "graph" {
-			return spec, fmt.Errorf("engine: topology implies the graph engine, got %q", g.Engine)
-		}
 		spec.Engine = EngineGraph
 		topo := &ResolvedTopology{Name: g.Topology.Name}
 		var err error
@@ -345,12 +337,6 @@ func (s *Scenario) resolveGroup(g *RunGroup, scale Scale, n int, env map[string]
 		}
 		spec.Topology = topo
 	case g.Network != nil:
-		if g.Engine != "" && g.Engine != "cluster" {
-			return spec, fmt.Errorf("engine: a network section implies the cluster engine, got %q", g.Engine)
-		}
-		if g.FastForward != nil {
-			return spec, fmt.Errorf("engine: a fast_forward section implies the hybrid engine, a network section the cluster engine; pick one")
-		}
 		spec.Engine = EngineCluster
 		net, err := resolveNetwork(g.Network, scale, env)
 		if err != nil {
@@ -358,9 +344,6 @@ func (s *Scenario) resolveGroup(g *RunGroup, scale Scale, n int, env map[string]
 		}
 		spec.Network = net
 	case g.FastForward != nil:
-		if g.Engine != "" && g.Engine != "hybrid" {
-			return spec, fmt.Errorf("engine: a fast_forward section implies the hybrid engine, got %q", g.Engine)
-		}
 		spec.Engine = EngineHybrid
 	case g.Engine == "" || g.Engine == "batch":
 		spec.Engine = EngineBatch
