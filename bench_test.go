@@ -24,18 +24,32 @@ import (
 	"testing"
 
 	consensus "github.com/ignorecomply/consensus"
+	// Register the reducers and adapters the E1–E12 scenarios name.
+	_ "github.com/ignorecomply/consensus/internal/expt"
 	"github.com/ignorecomply/consensus/scenario"
+	"github.com/ignorecomply/consensus/scenarios"
 )
 
-func benchExperiment(b *testing.B, id string) {
-	e, ok := consensus.ExperimentByID(id)
-	if !ok {
-		b.Fatalf("experiment %s not registered", id)
+// embeddedScenario decodes a checked-in scenario file.
+func embeddedScenario(tb testing.TB, file string) *scenario.Scenario {
+	tb.Helper()
+	data, err := scenarios.Read(file)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	params := consensus.ExperimentParams{Seed: 1, Scale: consensus.QuickScale}
+	s, err := scenario.DecodeBytes(data)
+	if err != nil {
+		tb.Fatalf("%s: %v", file, err)
+	}
+	return s
+}
+
+func benchExperiment(b *testing.B, file string) {
+	s := embeddedScenario(b, file)
+	params := scenario.Params{Seed: 1, Scale: scenario.Quick}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tbl, err := e.Run(params)
+		tbl, err := scenario.Run(context.Background(), s, params)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,18 +62,18 @@ func benchExperiment(b *testing.B, id string) {
 
 // One benchmark per paper artifact.
 
-func BenchmarkE1ThreeMajorityUpper(b *testing.B)  { benchExperiment(b, "E1") }
-func BenchmarkE2TwoChoicesLower(b *testing.B)     { benchExperiment(b, "E2") }
-func BenchmarkE3DominanceVoter3M(b *testing.B)    { benchExperiment(b, "E3") }
-func BenchmarkE4VoterReduction(b *testing.B)      { benchExperiment(b, "E4") }
-func BenchmarkE5DualityCoupling(b *testing.B)     { benchExperiment(b, "E5") }
-func BenchmarkE6ExpectationIdentity(b *testing.B) { benchExperiment(b, "E6") }
-func BenchmarkE7Counterexample(b *testing.B)      { benchExperiment(b, "E7") }
-func BenchmarkE8BiasedRegime(b *testing.B)        { benchExperiment(b, "E8") }
-func BenchmarkE9Hierarchy(b *testing.B)           { benchExperiment(b, "E9") }
-func BenchmarkE10Byzantine(b *testing.B)          { benchExperiment(b, "E10") }
-func BenchmarkE11Separation(b *testing.B)         { benchExperiment(b, "E11") }
-func BenchmarkE12PhaseSplit(b *testing.B)         { benchExperiment(b, "E12") }
+func BenchmarkE1ThreeMajorityUpper(b *testing.B)  { benchExperiment(b, "e01_threemajority_upper.json") }
+func BenchmarkE2TwoChoicesLower(b *testing.B)     { benchExperiment(b, "e02_twochoices_lower.json") }
+func BenchmarkE3DominanceVoter3M(b *testing.B)    { benchExperiment(b, "e03_dominance.json") }
+func BenchmarkE4VoterReduction(b *testing.B)      { benchExperiment(b, "e04_voter_reduction.json") }
+func BenchmarkE5DualityCoupling(b *testing.B)     { benchExperiment(b, "e05_duality.json") }
+func BenchmarkE6ExpectationIdentity(b *testing.B) { benchExperiment(b, "e06_expectation.json") }
+func BenchmarkE7Counterexample(b *testing.B)      { benchExperiment(b, "e07_counterexample.json") }
+func BenchmarkE8BiasedRegime(b *testing.B)        { benchExperiment(b, "e08_biased.json") }
+func BenchmarkE9Hierarchy(b *testing.B)           { benchExperiment(b, "e09_hierarchy.json") }
+func BenchmarkE10Byzantine(b *testing.B)          { benchExperiment(b, "e10_byzantine.json") }
+func BenchmarkE11Separation(b *testing.B)         { benchExperiment(b, "e11_separation.json") }
+func BenchmarkE12PhaseSplit(b *testing.B)         { benchExperiment(b, "e12_phases.json") }
 
 // Whole-run benchmarks of the engines, one paper cell each.
 

@@ -20,7 +20,7 @@
 //   - the Byzantine round adversary of the fault-tolerance regime (§5),
 //     composable onto every engine via WithAdversary.
 //
-// A minimal run:
+// A minimal run (Example runs it end to end):
 //
 //	runner := consensus.NewRunner(consensus.NewThreeMajority(),
 //	    consensus.WithSeed(42))
@@ -28,16 +28,17 @@
 //
 // Whole experiments — sweeps, replicas, adversary schedules, metrics —
 // are described as data and executed through the declarative scenario
-// layer (the scenario sibling package); the twelve paper experiments ship
-// as checked-in specs under scenarios/ and are reachable here through
-// Experiments and ExperimentByID. Because a suite's result is a pure
-// function of (canonical scenario, seed, scale) — scenario.Canonicalize
-// and scenario.Hash make that identity explicit — suites can also be
-// executed as a service: cmd/consensus-serve is an HTTP daemon with a
-// content-addressed result cache and streaming progress (DESIGN.md §9).
+// layer (the scenario sibling package). The paper experiments ship as
+// checked-in specs under scenarios/: read one with scenarios.Read and run
+// it with scenario.Run, or run it by file, name or experiment ID with
+// cmd/consensus-sim -scenario, which regenerates every reproduction
+// table. Because a suite's result is a pure function of (canonical
+// scenario, seed, scale) — scenario.Canonicalize and scenario.Hash make
+// that identity explicit — suites can also be executed as a service:
+// cmd/consensus-serve is an HTTP daemon with a content-addressed result
+// cache and streaming progress (DESIGN.md §9).
 //
-// See DESIGN.md for the system inventory; cmd/consensus-sim -scenario
-// regenerates every reproduction table.
+// See DESIGN.md for the system inventory.
 package consensus
 
 import (
@@ -46,12 +47,10 @@ import (
 	"github.com/ignorecomply/consensus/internal/coalesce"
 	"github.com/ignorecomply/consensus/internal/config"
 	"github.com/ignorecomply/consensus/internal/core"
-	"github.com/ignorecomply/consensus/internal/expt"
 	"github.com/ignorecomply/consensus/internal/graph"
 	"github.com/ignorecomply/consensus/internal/rng"
 	"github.com/ignorecomply/consensus/internal/rules"
 	"github.com/ignorecomply/consensus/internal/sim"
-	"github.com/ignorecomply/consensus/scenario"
 )
 
 // Core model types.
@@ -190,12 +189,6 @@ type (
 	DualityPoint = coalesce.DualityPoint
 	// Adversary corrupts a bounded set of nodes per round (§5).
 	Adversary = adversary.Adversary
-	// Experiment binds a paper artifact to the scenario regenerating it.
-	Experiment = expt.Experiment
-	// ExperimentParams configures an experiment run.
-	ExperimentParams = scenario.Params
-	// ExperimentTable is an experiment's tabular output.
-	ExperimentTable = scenario.Table
 )
 
 // NewRNG returns a deterministic random source seeded with seed.
@@ -326,20 +319,4 @@ type (
 	InjectInvalid = adversary.InjectInvalid
 	// RandomNoise corrupts random nodes to random live colors.
 	RandomNoise = adversary.RandomNoise
-)
-
-// Experiments returns the registered paper-reproduction experiments
-// (E1..E12), one per theorem/lemma/figure/numeric claim.
-func Experiments() []Experiment { return expt.Registry() }
-
-// ExperimentByID looks up a registered experiment.
-func ExperimentByID(id string) (Experiment, bool) { return expt.ByID(id) }
-
-// Experiment scales.
-const (
-	// QuickScale keeps the full suite in CI-sized time.
-	QuickScale = scenario.Quick
-	// FullScale is the budget of the reproduction tables: each
-	// scenarios/*.json at `consensus-sim -scenario E<i> -scale full`.
-	FullScale = scenario.Full
 )

@@ -110,21 +110,16 @@ func TestAgentsFlow(t *testing.T) {
 	}
 }
 
-func TestExperimentRegistryFlow(t *testing.T) {
-	exps := consensus.Experiments()
-	if len(exps) != 12 {
-		t.Fatalf("got %d experiments", len(exps))
-	}
-	e, ok := consensus.ExperimentByID("E7")
-	if !ok {
-		t.Fatal("E7 missing")
-	}
-	tbl, err := e.Run(consensus.ExperimentParams{Seed: 1, Scale: consensus.QuickScale, Workers: 2})
+// TestEmbeddedExperimentFlow runs a checked-in paper experiment the way
+// a downstream user would: read the embedded file, decode it, execute it.
+func TestEmbeddedExperimentFlow(t *testing.T) {
+	tbl, err := scenario.Run(context.Background(), embeddedScenario(t, "e07_counterexample.json"),
+		scenario.Params{Seed: 1, Scale: scenario.Quick, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) == 0 {
-		t.Fatal("E7 produced no rows")
+	if tbl.ID != "E7" || len(tbl.Rows) == 0 {
+		t.Fatalf("E7 table: id %q, %d rows", tbl.ID, len(tbl.Rows))
 	}
 }
 

@@ -67,8 +67,8 @@ func TestDocCitationsResolve(t *testing.T) {
 // TestDesignInventoryCoversPackages: DESIGN.md §1 has a row for every
 // directory that holds non-test Go files (outside testdata), and every
 // directory a row names exists. A row's first cell names directories in
-// backticks: `consensus` is the root package and `examples/*` covers each
-// example.
+// backticks: `consensus` is the root package, and a pattern such as
+// `cmd/*` covers each directory it matches.
 func TestDesignInventoryCoversPackages(t *testing.T) {
 	src, err := os.ReadFile("DESIGN.md")
 	if err != nil {

@@ -9,11 +9,22 @@ import (
 	"github.com/ignorecomply/consensus/internal/rng"
 )
 
+// hmajorityAlpha computes the exact h-Majority process function for the
+// fraction vector x with a fresh AlphaEvaluator, into a new slice.
+func hmajorityAlpha(x []float64, h int) ([]float64, error) {
+	var e AlphaEvaluator
+	out := make([]float64, len(x))
+	if err := e.Alpha(x, h, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // TestVoterAlphaIsIdentity: the Voter process function (Eq. 1) is the
 // identity, and 1-Majority is the Voter process.
 func TestVoterAlphaIsIdentity(t *testing.T) {
 	x := []float64{0.2, 0.3, 0.5}
-	got, err := HMajorityAlpha(x, 1)
+	got, err := hmajorityAlpha(x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +128,7 @@ func TestHMajorityAlphaH3MatchesEq2(t *testing.T) {
 func TestHMajorityAlphaIsProbVector(t *testing.T) {
 	x := []float64{0.4, 0.3, 0.2, 0.1}
 	for h := 1; h <= 6; h++ {
-		got, err := HMajorityAlpha(x, h)
+		got, err := hmajorityAlpha(x, h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +141,7 @@ func TestHMajorityAlphaIsProbVector(t *testing.T) {
 func TestHMajorityAlphaConsensusFixedPoint(t *testing.T) {
 	x := []float64{0, 1, 0}
 	for h := 1; h <= 5; h++ {
-		got, err := HMajorityAlpha(x, h)
+		got, err := hmajorityAlpha(x, h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,10 +152,10 @@ func TestHMajorityAlphaConsensusFixedPoint(t *testing.T) {
 }
 
 func TestHMajorityAlphaErrors(t *testing.T) {
-	if _, err := HMajorityAlpha([]float64{1}, 0); err == nil {
+	if _, err := hmajorityAlpha([]float64{1}, 0); err == nil {
 		t.Error("expected error: h = 0")
 	}
-	if _, err := HMajorityAlpha([]float64{0, 0}, 3); err == nil {
+	if _, err := hmajorityAlpha([]float64{0, 0}, 3); err == nil {
 		t.Error("expected error: empty support")
 	}
 	// No support is too wide: 6-Majority over 4000 colors (C(4005, 6)
@@ -153,7 +164,7 @@ func TestHMajorityAlphaErrors(t *testing.T) {
 	for i := range wide {
 		wide[i] = 1.0 / 4000
 	}
-	got, err := HMajorityAlpha(wide, 6)
+	got, err := hmajorityAlpha(wide, 6)
 	if err != nil {
 		t.Fatalf("wide support: %v", err)
 	}
@@ -172,7 +183,7 @@ func TestHMajorityAlphaRatMatchesFloat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gf, err := HMajorityAlpha(xf, h)
+		gf, err := hmajorityAlpha(xf, h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +283,7 @@ func TestQuickHMajorityConsistency(t *testing.T) {
 			return true
 		}
 		x := []float64{float64(w1) / total, float64(w2) / total, float64(w3) / total, float64(w4) / total}
-		a, err := HMajorityAlpha(x, 3)
+		a, err := hmajorityAlpha(x, 3)
 		if err != nil {
 			return false
 		}
@@ -295,8 +306,8 @@ func TestQuickHMajorityConsistency(t *testing.T) {
 	}
 }
 
-// TestAlphaEvaluatorMatchesHMajorityAlpha: the reusable evaluator and the
-// allocating wrapper are the same computation.
+// TestAlphaEvaluatorMatchesHMajorityAlpha: a reused evaluator and a fresh
+// one per call (hmajorityAlpha) are the same computation.
 func TestAlphaEvaluatorMatchesHMajorityAlpha(t *testing.T) {
 	var e AlphaEvaluator
 	for _, x := range [][]float64{
@@ -306,7 +317,7 @@ func TestAlphaEvaluatorMatchesHMajorityAlpha(t *testing.T) {
 		{0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125},
 	} {
 		for _, h := range []int{1, 3, 5} {
-			want, err := HMajorityAlpha(x, h)
+			want, err := hmajorityAlpha(x, h)
 			if err != nil {
 				t.Fatal(err)
 			}

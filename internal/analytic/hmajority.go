@@ -35,21 +35,6 @@ var (
 	errOutputLength = errors.New("analytic: output length mismatch")
 )
 
-// HMajorityAlpha computes the exact h-Majority process function for the
-// fraction vector x. Zero entries of x stay zero. It returns an error for
-// h < 1 or an empty support.
-//
-// Each call allocates its result and scratch; hot paths that evaluate the
-// process function every round should hold an AlphaEvaluator instead.
-func HMajorityAlpha(x []float64, h int) ([]float64, error) {
-	var e AlphaEvaluator
-	out := make([]float64, len(x))
-	if err := e.Alpha(x, h, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // AlphaEvaluator computes the exact h-Majority process function
 // repeatedly without allocating in steady state: all scratch lives on the
 // receiver and grows in place. A call costs O(k) to group the k entries of

@@ -194,7 +194,7 @@ func TestTableErrors(t *testing.T) {
 	if _, err := tb.WalksAfter(6); err == nil {
 		t.Error("expected error: beyond horizon")
 	}
-	if _, err := tb.OpinionsAfter(-1); err == nil {
+	if _, err := tb.WalksAfter(-1); err == nil {
 		t.Error("expected error: negative T")
 	}
 	if _, err := tb.Curve(6); err == nil {

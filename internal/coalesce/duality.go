@@ -74,17 +74,6 @@ func (tb *Table) walkCounts(T int) []int {
 	return walks
 }
 
-// OpinionsAfter runs the horizon-T Voter process backward over the table
-// (Eq. 11: in Voter round t' node u adopts the opinion of Y_{T-t'}(u),
-// starting from pairwise distinct opinions) and returns the number of
-// distinct opinions after T rounds.
-func (tb *Table) OpinionsAfter(T int) (int, error) {
-	if T < 0 || T > len(tb.y) {
-		return 0, errors.New("coalesce: T outside table horizon")
-	}
-	return newVoter(tb.g.N()).opinionsAfter(tb, T), nil
-}
-
 // voter holds the buffers of the backward Voter runs, so that Curve can
 // run one per horizon without allocating.
 type voter struct {
@@ -100,7 +89,10 @@ func newVoter(n int) *voter {
 	}
 }
 
-// opinionsAfter is OpinionsAfter(T) for a T inside the table's horizon.
+// opinionsAfter runs the horizon-T Voter process backward over the table
+// (Eq. 11: in Voter round t' node u adopts the opinion of Y_{T-t'}(u),
+// starting from pairwise distinct opinions) and returns the number of
+// distinct opinions after T rounds, for a T inside the table's horizon.
 func (vt *voter) opinionsAfter(tb *Table, T int) int {
 	opinions, next := vt.opinions, vt.next
 	for u := range opinions {

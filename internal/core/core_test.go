@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/ignorecomply/consensus/internal/analytic"
 	"github.com/ignorecomply/consensus/internal/config"
 	"github.com/ignorecomply/consensus/internal/core"
 	"github.com/ignorecomply/consensus/internal/majorize"
@@ -94,9 +95,11 @@ func TestAppendixBViolationViaVerifyDominance(t *testing.T) {
 		t.Fatal(err)
 	}
 	fourMaj := rules.NewAC("4-majority-exact", func(c *config.Config, out []float64) []float64 {
-		m := rules.NewHMajority(4)
-		alpha, err := m.AlphaExact(c)
-		if err != nil {
+		fracs := make([]float64, c.Slots())
+		c.Fractions(fracs)
+		var e analytic.AlphaEvaluator
+		alpha := make([]float64, len(fracs))
+		if err := e.Alpha(fracs, 4, alpha); err != nil {
 			panic(err)
 		}
 		if out == nil {

@@ -2,41 +2,59 @@ package expt
 
 import (
 	"bytes"
+	"context"
 	"strconv"
 	"strings"
 	"testing"
 
 	"github.com/ignorecomply/consensus/scenario"
+	"github.com/ignorecomply/consensus/scenarios"
 )
 
-func TestRegistryComplete(t *testing.T) {
-	reg := Registry()
-	if len(reg) != 12 {
-		t.Fatalf("registry has %d experiments, want 12", len(reg))
+// experiments returns the embedded scenarios bound to a paper experiment,
+// in file order (e01 … e12), and fails unless they are E1..E12 in that
+// order, each with a name and a claim.
+func experiments(t *testing.T) []*scenario.Scenario {
+	t.Helper()
+	var exps []*scenario.Scenario
+	for _, name := range scenarios.Names() {
+		data, err := scenarios.Read(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := scenario.DecodeBytes(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s.Experiment == nil {
+			continue
+		}
+		if want := "E" + strconv.Itoa(len(exps)+1); s.Experiment.ID != want {
+			t.Fatalf("%s is experiment %s, want %s in file order", name, s.Experiment.ID, want)
+		}
+		if s.Experiment.Name == "" || s.Experiment.Claim == "" {
+			t.Fatalf("%s: experiment binding incomplete: %+v", name, s.Experiment)
+		}
+		exps = append(exps, s)
 	}
-	seen := make(map[string]bool)
-	for i, e := range reg {
-		if e.ID == "" || e.Name == "" || e.Claim == "" || e.Run == nil {
-			t.Errorf("experiment %d incomplete: %+v", i, e)
-		}
-		if seen[e.ID] {
-			t.Errorf("duplicate ID %s", e.ID)
-		}
-		seen[e.ID] = true
-		want := "E" + strconv.Itoa(i+1)
-		if e.ID != want {
-			t.Errorf("registry order: position %d has %s, want %s", i, e.ID, want)
-		}
-	}
+	return exps
 }
 
-func TestByID(t *testing.T) {
-	e, ok := ByID("E7")
-	if !ok || e.ID != "E7" {
-		t.Fatalf("ByID(E7) = %+v, %v", e, ok)
+// experiment returns the embedded scenario bound to experiment id.
+func experiment(t *testing.T, id string) *scenario.Scenario {
+	t.Helper()
+	for _, s := range experiments(t) {
+		if s.Experiment.ID == id {
+			return s
+		}
 	}
-	if _, ok := ByID("E99"); ok {
-		t.Fatal("ByID(E99) should not exist")
+	t.Fatalf("no embedded scenario is experiment %s", id)
+	return nil
+}
+
+func TestExperimentsComplete(t *testing.T) {
+	if exps := experiments(t); len(exps) != 12 {
+		t.Fatalf("the embedded suite binds %d experiments, want 12", len(exps))
 	}
 }
 
@@ -65,11 +83,7 @@ func tinyParams() scenario.Params {
 // both renderers.
 func runAndRender(t *testing.T, id string) *scenario.Table {
 	t.Helper()
-	e, ok := ByID(id)
-	if !ok {
-		t.Fatalf("experiment %s not registered", id)
-	}
-	tbl, err := e.Run(tinyParams())
+	tbl, err := scenario.Run(context.Background(), experiment(t, id), tinyParams())
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}

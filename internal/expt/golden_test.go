@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -31,22 +32,23 @@ func TestScenariosReproduceGoldenTables(t *testing.T) {
 	for _, tbl := range want {
 		byID[tbl.ID] = tbl
 	}
-	reg := Registry()
-	if len(reg) != len(want) {
-		t.Fatalf("registry has %d experiments, golden file has %d", len(reg), len(want))
+	exps := experiments(t)
+	if len(exps) != len(want) {
+		t.Fatalf("the embedded suite binds %d experiments, golden file has %d", len(exps), len(want))
 	}
 	p := scenario.Params{Seed: 1, Scale: scenario.Quick, Workers: 4}
-	for _, e := range reg {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
+	for _, s := range exps {
+		s := s
+		id := s.Experiment.ID
+		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			golden, ok := byID[e.ID]
+			golden, ok := byID[id]
 			if !ok {
-				t.Fatalf("no golden table for %s", e.ID)
+				t.Fatalf("no golden table for %s", id)
 			}
-			got, err := e.Run(p)
+			got, err := scenario.Run(context.Background(), s, p)
 			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
+				t.Fatalf("%s: %v", id, err)
 			}
 			diffTables(t, golden, got)
 		})

@@ -20,7 +20,7 @@
 //   - rnghygiene: forbids global randomness (math/rand, math/rand/v2,
 //     crypto/rand) and wall-clock time (time.Now and friends) in engine
 //     packages; all randomness must flow through internal/rng derived
-//     streams, all timing through virtual clocks. cmd/, examples/ and
+//     streams, all timing through virtual clocks. cmd/ and
 //     internal/serve are allowlisted; internal/rng itself is the one
 //     place allowed to touch math/rand/v2.
 //   - hotalloc: functions annotated //consensus:hotpath must not contain

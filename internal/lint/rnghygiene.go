@@ -23,10 +23,10 @@ import (
 //     cluster engine's virtual-tick scheduler).
 //
 // The policy is default-deny: every package in the module is checked
-// except the wall-clock allowlist — cmd/ and examples/ (interactive
-// entry points) and internal/serve (the HTTP daemon: uptime gauges and
-// drain deadlines are wall-clock concerns; the suites it executes still
-// run through the deterministic scenario layer). There is no waiver
+// except the wall-clock allowlist — cmd/ (the commands) and
+// internal/serve (the HTTP daemon: uptime gauges and drain deadlines are
+// wall-clock concerns; the suites it executes still run through the
+// deterministic scenario layer). There is no waiver
 // comment: code that needs wall-clock time belongs in an allowlisted
 // package. Timing an engine is the job of go test benchmarks, whose
 // clock is the testing package's.
@@ -38,7 +38,7 @@ var RNGHygieneAnalyzer = &Analyzer{
 
 // hygieneAllowed are path prefixes (relative to the module root) exempt
 // from the wall-clock and global-randomness rules.
-var hygieneAllowed = []string{"cmd", "examples", "internal/serve"}
+var hygieneAllowed = []string{"cmd", "internal/serve"}
 
 // bannedTimeFuncs are the time package functions that read or act on the
 // wall clock.

@@ -36,6 +36,7 @@ func TestModuleWaiversStayNarrow(t *testing.T) {
 		"internal/rules/ac.go":          {TestHelperDirective},
 		"internal/rules/hmajority.go":   {AllocDirective},
 		"internal/serve/job.go":         {OrderedDirective},
+		"internal/sim/runner.go":        {TestHelperDirective, TestHelperDirective},
 		"internal/sim/shard.go":         {AllocDirective},
 		"internal/stats/equivalence.go": {TestHelperDirective, TestHelperDirective},
 	}

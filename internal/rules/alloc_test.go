@@ -134,7 +134,7 @@ func TestPerNodeStepZeroSteadyStateAllocs(t *testing.T) {
 // TestHMajorityStepRegimes pins that there is one regime: narrow and wide
 // supports alike take the count-based law, a round being exactly
 // Mult(n, α(c)) with α the exact process function. Driven from the same
-// seed, Step must reproduce core.ACStep with AlphaExact's α count for
+// seed, Step must reproduce core.ACStep with exactAlpha's α count for
 // count, at 8 live colors and at 256 (C(260, 5) ≈ 9.7·10⁹ sample outcomes,
 // past any enumeration budget), and preserve the configuration invariant.
 // Zipf starts give every color its own fraction, so a misplaced α entry
@@ -144,7 +144,7 @@ func TestHMajorityStepRegimes(t *testing.T) {
 		m := NewHMajority(5)
 		c := config.Zipf(10_000, k, 1)
 		want := c.Clone()
-		alpha, err := m.AlphaExact(want)
+		alpha, err := exactAlpha(want, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

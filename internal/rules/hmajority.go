@@ -22,8 +22,7 @@ import (
 // for h >= 4. Its batch step evaluates α(c) exactly at any support
 // (analytic.AlphaEvaluator, a grouped generating function over the
 // distinct color fractions) and draws the round as one Mult(n, α) — O(k +
-// d·poly(h)) for d distinct counts, independent of n. AlphaExact exposes
-// the same process function (see analytic.HMajorityAlpha); Update is the
+// d·poly(h)) for d distinct counts, independent of n; Update is the
 // literal per-node law the per-node engines run.
 type HMajority struct {
 	h     int
@@ -135,11 +134,4 @@ func (m *HMajority) plurality(samples []int, r *rng.RNG) int {
 		return tied[0]
 	}
 	return tied[r.IntN(len(tied))]
-}
-
-// AlphaExact returns the exact process function α(c) in a new slice.
-func (m *HMajority) AlphaExact(c *config.Config) ([]float64, error) {
-	m.fracs = resizeFloats(m.fracs, c.Slots())
-	c.Fractions(m.fracs)
-	return analytic.HMajorityAlpha(m.fracs, m.h)
 }

@@ -162,14 +162,22 @@ func TestThreeMajorityAlphaMatchesAnalytic(t *testing.T) {
 	}
 }
 
+// exactAlpha is h-Majority's exact process function α(c).
+func exactAlpha(c *config.Config, h int) ([]float64, error) {
+	fracs := make([]float64, c.Slots())
+	c.Fractions(fracs)
+	var e analytic.AlphaEvaluator
+	alpha := make([]float64, len(fracs))
+	return alpha, e.Alpha(fracs, h, alpha)
+}
+
 // TestHMajorityOneRoundMeanMatchesAlpha: the batch sampler agrees in
 // expectation with the exact process function.
 func TestHMajorityOneRoundMeanMatchesAlpha(t *testing.T) {
 	r := rng.New(66)
 	cfg := config.Zipf(200, 4, 1.0)
 	for _, h := range []int{1, 3, 4} {
-		m := NewHMajority(h)
-		alpha, err := m.AlphaExact(cfg)
+		alpha, err := exactAlpha(cfg, h)
 		if err != nil {
 			t.Fatal(err)
 		}

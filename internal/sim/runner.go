@@ -134,6 +134,8 @@ func (rn *Runner) instance() (core.Rule, error) {
 // on the hybrid engine, inside fast-forward planning); a mid-run
 // cancellation returns the partial Result for the rounds completed so
 // far alongside the error.
+//
+//lint:testhelper the public entry point, re-exported as consensus.Runner; the root Example and tests drive it
 func (rn *Runner) Run(ctx context.Context, start *config.Config) (*Result, error) {
 	o, err := rn.runOptions(ctx)
 	if err != nil {
@@ -149,6 +151,7 @@ func (rn *Runner) Run(ctx context.Context, start *config.Config) (*Result, error
 // order. workers <= 0 means GOMAXPROCS.
 //
 //consensus:longrun
+//lint:testhelper public through consensus.Runner; the root and sim tests drive it
 func (rn *Runner) RunReplicas(ctx context.Context, start *config.Config, replicas, workers int) ([]*Result, error) {
 	if rn.factory == nil {
 		return nil, errors.New("sim: RunReplicas needs a fresh rule per replica; use NewFactoryRunner")

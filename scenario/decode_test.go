@@ -190,6 +190,16 @@ func TestValidationMessages(t *testing.T) {
 			wantSub: "needs a topology",
 		},
 		{
+			name:    "unknown group engine",
+			src:     mutate(`"rule": {"name": "3-majority"},`, `"rule": {"name": "3-majority"}, "runs": [{"id": "g", "engine": "quantum"}],`),
+			wantSub: `runs[0].engine: unknown engine "quantum"`,
+		},
+		{
+			name:    "group graph engine without topology",
+			src:     mutate(`"rule": {"name": "3-majority"},`, `"rule": {"name": "3-majority"}, "runs": [{"id": "g", "engine": "graph"}],`),
+			wantSub: "runs[0]: the graph engine needs a topology section",
+		},
+		{
 			name:    "unknown generator",
 			src:     mutate(`"balanced"`, `"bimodal"`),
 			wantSub: `unknown generator "bimodal"`,

@@ -323,7 +323,9 @@ func (s *Scenario) resolveGroup(g *RunGroup, scale Scale, n int, env map[string]
 	}
 
 	// Engine, topology, network and fast-forward. Validate has already
-	// rejected every conflict between the sections and the engine.
+	// rejected every unknown engine name, a graph engine without a
+	// topology and every other conflict between the sections and the
+	// engine.
 	switch {
 	case g.Topology != nil:
 		spec.Engine = EngineGraph
@@ -353,10 +355,6 @@ func (s *Scenario) resolveGroup(g *RunGroup, scale Scale, n int, env map[string]
 		spec.Engine = EngineCluster
 	case g.Engine == "hybrid":
 		spec.Engine = EngineHybrid
-	case g.Engine == "graph":
-		return spec, fmt.Errorf("engine: the graph engine needs a topology section")
-	default:
-		return spec, fmt.Errorf("engine: unknown engine %q", g.Engine)
 	}
 
 	var err error

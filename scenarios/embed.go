@@ -1,7 +1,6 @@
 // Package scenarios ships the checked-in scenario suite: every paper
-// experiment (E1..E12) as a declarative JSON spec, embedded so the
-// reproduction registry and the CLIs can run them from any working
-// directory. Decode them with the scenario package; add new workloads by
+// experiment (E1..E12) as a declarative JSON spec, embedded so the CLIs
+// and the tests can run them from any working directory. Decode them with the scenario package; add new workloads by
 // dropping a file here (or anywhere — consensus-sim -scenario takes
 // plain paths too).
 package scenarios
